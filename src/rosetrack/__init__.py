@@ -50,7 +50,6 @@ from .synthesis import (
     glue_graphs,
     normalize_achieved,
     realize_glued,
-    relabel,
     theorem_a_pipeline,
 )
 from .whitehead import (
@@ -67,11 +66,7 @@ from .words import (
     Decomposition,
     GraphMap,
     NielsenGenerator,
-    apply_map,
     compose,
-    direction_map,
-    generator_to_map,
-    illegal_turn_of_generator,
     is_cyclically_admissible,
     is_expanding,
     is_illegal,
@@ -82,7 +77,6 @@ from .words import (
     reduce_word,
     rotationless_power,
     taken_turns,
-    transition_matrix,
     turn,
 )
 

@@ -24,9 +24,11 @@ from .nielsen import (
     trace_to_text,
 )
 from .synthesis import (
+    MAX_PREP_POWER,
     GluingSpec,
     normalize_achieved,
     realize_glued,
+    smallest_power,
     theorem_a_pipeline,
 )
 from .diagrams import build_id_diagram, diagram_to_dot, diagram_to_json
@@ -44,12 +46,17 @@ OK, FAIL, USAGE, UNDECIDED = 0, 1, 2, 3
 
 
 def _read_decomposition(path: str | None) -> Decomposition:
+    """Parse a decomposition document; any malformed one is a usage error."""
     if path is None or path == "-":
         data = sys.stdin.read()
     else:
         with open(path, "r", encoding="utf-8") as fh:
             data = fh.read()
-    return Decomposition.from_json(json.loads(data))
+    doc = json.loads(data)
+    try:
+        return Decomposition.from_json(doc)
+    except (KeyError, TypeError, AttributeError, ValueError, RosetrackError) as exc:
+        raise ValueError(f"malformed decomposition: {exc!r}") from None
 
 
 def _write(args, text: str) -> None:
@@ -72,9 +79,25 @@ def _emit_graph(args, graph) -> None:
         _write(args, "\n".join(lines) + "\n")
 
 
-def _searched_certificate(d: Decomposition, args):
-    outcome = search_inps(d, max_passes=args.max_passes, max_len=args.max_len)
-    return outcome, outcome.certificate()
+def _search(d: Decomposition, args):
+    return search_inps(d, max_passes=args.max_passes, max_len=args.max_len)
+
+
+def _certified(body):
+    """A verb that runs body(args, d, cert) on the input decomposition and its
+    Nielsen-path-freeness certificate; without a certificate it exits 3 if the
+    search was inconclusive and 1 otherwise."""
+
+    def cmd(args) -> int:
+        d = _read_decomposition(args.input)
+        outcome = _search(d, args)
+        cert = outcome.certificate()
+        if cert is None:
+            sys.stderr.write(f"no certificate: search verdict {outcome.verdict}\n")
+            return UNDECIDED if outcome.verdict == INCONCLUSIVE else FAIL
+        return body(args, d, cert)
+
+    return cmd
 
 
 def cmd_example(args) -> int:
@@ -96,8 +119,8 @@ def cmd_verify(args) -> int:
     checks.append(("train track", tt))
     checks.append(("expanding", is_expanding(d)))
     checks.append(("irreducible", is_irreducible(d)))
-    checks.append(("strictly irreducible (some power <= 12)",
-                   any(is_strictly_irreducible(d.powered(p)) for p in range(1, 13))))
+    checks.append((f"strictly irreducible (some power <= {MAX_PREP_POWER})",
+                   smallest_power(d, is_strictly_irreducible) is not None))
     prevention_label = "prevention sequence"
     prevention = False
     inconclusive = False
@@ -111,8 +134,7 @@ def cmd_verify(args) -> int:
             prevention_label = "prevention sequence (square)"
         if not prevention:
             try:
-                outcome = search_inps(d, max_passes=args.max_passes, max_len=args.max_len)
-                inconclusive = outcome.verdict == INCONCLUSIVE
+                inconclusive = _search(d, args).verdict == INCONCLUSIVE
             except RosetrackError:
                 inconclusive = False
     checks.append((prevention_label, prevention))
@@ -124,8 +146,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pnp(args) -> int:
-    d = _read_decomposition(args.input)
-    outcome = search_inps(d, max_passes=args.max_passes, max_len=args.max_len)
+    outcome = _search(_read_decomposition(args.input), args)
     _write(args, trace_to_text(outcome))
     if outcome.verdict == NONE_LEGALIZED:
         return OK
@@ -134,43 +155,27 @@ def cmd_pnp(args) -> int:
     return UNDECIDED
 
 
-def cmd_iwg(args) -> int:
-    d = _read_decomposition(args.input)
-    outcome, cert = _searched_certificate(d, args)
-    if cert is None:
-        sys.stderr.write(f"no certificate: search verdict {outcome.verdict}\n")
-        return UNDECIDED if outcome.verdict == INCONCLUSIVE else FAIL
+@_certified
+def cmd_iwg(args, d, cert) -> int:
     _emit_graph(args, ideal_whitehead_graph(d, cert))
     return OK
 
 
-def cmd_index(args) -> int:
-    d = _read_decomposition(args.input)
-    outcome, cert = _searched_certificate(d, args)
-    if cert is None:
-        sys.stderr.write(f"no certificate: search verdict {outcome.verdict}\n")
-        return UNDECIDED if outcome.verdict == INCONCLUSIVE else FAIL
+@_certified
+def cmd_index(args, d, cert) -> int:
     entries = index_list(ideal_whitehead_graph(d, cert))
     _write(args, "{" + ", ".join(str(e) for e in entries) + "}\n")
     return OK
 
 
-def cmd_ltt(args) -> int:
-    d = _read_decomposition(args.input)
-    outcome, cert = _searched_certificate(d, args)
-    if cert is None:
-        sys.stderr.write(f"no certificate: search verdict {outcome.verdict}\n")
-        return UNDECIDED if outcome.verdict == INCONCLUSIVE else FAIL
+@_certified
+def cmd_ltt(args, d, cert) -> int:
     _emit_graph(args, build_ltt(d, cert).as_graph())
     return OK
 
 
-def cmd_id_diagram(args) -> int:
-    d = _read_decomposition(args.input)
-    outcome, cert = _searched_certificate(d, args)
-    if cert is None:
-        sys.stderr.write(f"no certificate: search verdict {outcome.verdict}\n")
-        return UNDECIDED if outcome.verdict == INCONCLUSIVE else FAIL
+@_certified
+def cmd_id_diagram(args, d, cert) -> int:
     diagram = build_id_diagram(build_ltt(d, cert), node_budget=args.budget)
     comp = diagram.seed_component()
     if args.emit == "dot":
@@ -193,8 +198,8 @@ def cmd_glue(args) -> int:
     left_d = _read_decomposition(args.left)
     right_d = _read_decomposition(args.right)
     try:
-        left = normalize_achieved(left_d, _searched_certificate(left_d, args)[1])
-        right = normalize_achieved(right_d, _searched_certificate(right_d, args)[1])
+        left = normalize_achieved(left_d, _search(left_d, args).certificate())
+        right = normalize_achieved(right_d, _search(right_d, args).certificate())
     except RosetrackError as exc:
         sys.stderr.write(f"{exc}\n")
         return FAIL
@@ -214,6 +219,9 @@ def cmd_glue(args) -> int:
 
 
 def cmd_pipeline(args) -> int:
+    if args.rank < 3:
+        sys.stderr.write("the construction needs --rank >= 3\n")
+        return USAGE
     res = theorem_a_pipeline(args.rank, max_passes=args.max_passes, max_len=args.max_len)
     if args.emit == "dot":
         _write(args, to_dot(res.iw))
@@ -282,18 +290,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--shared", default="1,2", help="comma-separated shared indices")
-    p.add_argument("--bounds.max-passes", dest="max_passes", type=int, default=3)
-    p.add_argument("--bounds.max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--emit", choices=["text", "dot", "json"], default="text")
-    p.add_argument("--out", default=None)
+    common(p, needs_input=False)
     p.set_defaults(func=cmd_glue)
 
     p = sub.add_parser("pipeline", help="produce the rank-r cut-vertex example")
     p.add_argument("--rank", type=int, required=True)
-    p.add_argument("--bounds.max-passes", dest="max_passes", type=int, default=3)
-    p.add_argument("--bounds.max-len", dest="max_len", type=int, default=None)
-    p.add_argument("--emit", choices=["text", "dot", "json"], default="text")
-    p.add_argument("--out", default=None)
+    common(p, needs_input=False)
     p.set_defaults(func=cmd_pipeline)
 
     return parser

@@ -468,7 +468,7 @@ def check_representative_loop(
         return LoopVerdict(False, ("sequence not cyclically admissible",))
 
     exponent, _ = rotationless_power(d)
-    work = d if exponent == 1 else d.powered(exponent)
+    work = d.powered(exponent)
 
     if not is_train_track(work):
         failures.append("composite is not a train track map")

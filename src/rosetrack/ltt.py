@@ -247,7 +247,7 @@ def build_ltt(d: Decomposition, pnp_certificate) -> LttStructure:
     if not is_train_track(d):
         raise NotTrainTrack("the composite takes an illegal turn")
     exponent, cert = rotationless_power(d)
-    power = d if exponent == 1 else d.powered(exponent)
+    power = d.powered(exponent)
     if len(cert.nonperiodic) != 1:
         raise NotTrainTrack(
             f"expected a unique nonperiodic direction, found {cert.nonperiodic}"

@@ -10,7 +10,7 @@ phase of the cyclic sequence witnesses a genuine Nielsen path.
 
 The search therefore has three honest outcomes: every branch dies
 (none_legalized), a verified path is produced (found), or the bounds run out
-(inconclusive).
+or a recurrent state fails verification (inconclusive).
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ def search_inps(
     expanding_irreducible = is_expanding(d) and is_irreducible(d)
 
     exponent, _ = rotationless_power(d)
-    work = d if exponent == 1 else d.powered(exponent)
+    work = d.powered(exponent)
     steps = work.steps
     n = len(steps)
     if max_len is None:
@@ -220,6 +220,19 @@ def search_inps(
     survivors: list[BranchRecord] = []
     max_steps = max_passes * n
 
+    def settle(cand: NpCandidate) -> FoundNp | None:
+        """Queue a live candidate.  A recurrent state is returned as a found
+        path only when the path verifies; otherwise it is not a Nielsen path,
+        and the branch is kept as an unsettled survivor."""
+        out = _advance(cand, rotations, n)
+        if not isinstance(out, FoundNp):
+            frontier.append(out)
+        elif out.verified:
+            return out
+        else:
+            survivors.append(_record(cand, None, None, "unverified_recurrence", False))
+        return None
+
     while frontier:
         br = frontier.pop(0)
         if br.step >= max_steps:
@@ -243,12 +256,11 @@ def search_inps(
                 legal = not is_illegal(rotations[s % n], junction)
                 dead.append(_record(br, s + 1, junction, "legal_turn", legal))
                 continue
-            nxt = NpCandidate(br.side_u, br.side_a, rem_u, rem_a, s, br.extensions, br.seen)
-            out = _advance(nxt, rotations, n)
-            if isinstance(out, FoundNp):
-                return _finish_found(out, d, dead, survivors, max_passes,
+            found = settle(NpCandidate(br.side_u, br.side_a, rem_u, rem_a, s,
+                                       br.extensions, br.seen))
+            if found is not None:
+                return _finish_found(found, d, dead, survivors, max_passes,
                                      max_len, n, expanding_irreducible)
-            frontier.append(out)
             continue
         if not rem_u and not rem_a:
             # distinct legal candidates cannot have identical tight images
@@ -285,11 +297,10 @@ def search_inps(
             else:
                 nb = NpCandidate(br.side_u, side + (e,), rem_u, img, s,
                              br.extensions + ((SIDE_A, e, s),), dict(br.seen))
-            out = _advance(nb, rotations, n)
-            if isinstance(out, FoundNp):
-                return _finish_found(out, d, dead, survivors, max_passes,
+            found = settle(nb)
+            if found is not None:
+                return _finish_found(found, d, dead, survivors, max_passes,
                                      max_len, n, expanding_irreducible)
-            frontier.append(out)
             extended_any = True
         if not extended_any:
             dead.append(_record(br, s + 1, None, "no_extension", False))

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from .catalog import rank3_base
 from .errors import SpecError
@@ -62,12 +63,6 @@ def pair_permutation(mapping: dict[int, int], rank: int) -> dict[Direction, Dire
     if len({abs(out[i]) for i in range(1, rank + 1)}) != rank:
         raise ValueError("mapping is not injective on the indices")
     return out
-
-
-def relabel(s: LttStructure, perm: dict[Direction, Direction]) -> LttStructure:
-    """Edge-pair-respecting relabeling of a structure (all invariants are
-    preserved; the relabeled structure is isomorphic to the original)."""
-    return s.relabeled(perm)
 
 
 @dataclass(frozen=True)
@@ -165,19 +160,30 @@ def glue_graphs(spec: GluingSpec) -> ColoredPairLabeledGraph:
     )
 
 
-def _preparation_power(d: Decomposition) -> int:
-    """Smallest power making the side rotationless, strictly irreducible,
-    and with its limited Whitehead graph already the full local one."""
+def smallest_power(d: Decomposition, test: Callable[[Decomposition], bool]) -> int | None:
+    """The smallest p <= MAX_PREP_POWER with test(d.powered(p)), or None."""
     for p in range(1, MAX_PREP_POWER + 1):
-        cand = d if p == 1 else d.powered(p)
-        if rotationless_power(cand)[0] != 1:
-            continue
-        if not is_strictly_irreducible(cand):
-            continue
-        if limited_whitehead_graph(cand) != turn_closure(cand).turns:
-            continue
-        return p
-    raise SpecError(f"no preparation power <= {MAX_PREP_POWER} found")
+        if test(d.powered(p)):
+            return p
+    return None
+
+
+def _is_prepared(d: Decomposition) -> bool:
+    """Rotationless, strictly irreducible, and with its limited Whitehead
+    graph already the full local one."""
+    return (
+        rotationless_power(d)[0] == 1
+        and is_strictly_irreducible(d)
+        and limited_whitehead_graph(d) == turn_closure(d).turns
+    )
+
+
+def _prepared(d: Decomposition) -> Decomposition:
+    """The smallest prepared power of a side."""
+    p = smallest_power(d, _is_prepared)
+    if p is None:
+        raise SpecError(f"no preparation power <= {MAX_PREP_POWER} found")
+    return d.powered(p)
 
 
 @dataclass(frozen=True)
@@ -217,11 +223,9 @@ def realize_glued(
     r = spec.glued_rank
     failures: list[str] = []
 
-    left_d = spec.left.decomposition.powered(_preparation_power(spec.left.decomposition))
-    right_prep = spec.right.decomposition.powered(_preparation_power(spec.right.decomposition))
     perm = _right_relabeling(spec)
-    left_ext = left_d.extended(r)
-    right_ext = right_prep.extended(r).relabeled(perm)
+    left_ext = _prepared(spec.left.decomposition).extended(r)
+    right_ext = _prepared(spec.right.decomposition).extended(r).relabeled(perm)
     combined = left_ext.concat(right_ext)
 
     admissible = is_cyclically_admissible(combined)
@@ -384,20 +388,11 @@ def _result_from(
         train_track=is_train_track(side_d),
         expanding=is_expanding(side_d),
         irreducible=is_irreducible(side_d),
-        strictly_irreducible_power=is_strictly_irreducible(
-            side_d.powered(_strict_power(side_d))
-        ),
+        strictly_irreducible_power=smallest_power(side_d, is_strictly_irreducible) is not None,
         cyclically_admissible=is_cyclically_admissible(side_d),
         prevention_sequence=prevention,
         glue_certificates=glue_certs,
     )
-
-
-def _strict_power(d: Decomposition) -> int:
-    for p in range(1, MAX_PREP_POWER + 1):
-        if is_strictly_irreducible(d if p == 1 else d.powered(p)):
-            return p
-    raise SpecError(f"no strictly irreducible power <= {MAX_PREP_POWER}")
 
 
 def theorem_a_pipeline(

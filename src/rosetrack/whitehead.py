@@ -11,13 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
 
 from .errors import MissingCertificate, NotTrainTrack
 from .graphs import PURPLE, RED, ColoredPairLabeledGraph, connected_components
 from .words import (
     Decomposition,
-    GraphMap,
     Turn,
     directions,
     index_entry,
@@ -25,24 +23,8 @@ from .words import (
     is_illegal,
     periodic_directions,
     rotationless_power,
-    taken_turns,
     turn,
 )
-
-
-def _single_image_turns(g) -> frozenset[Turn]:
-    if isinstance(g, GraphMap):
-        out: frozenset[Turn] = frozenset()
-        for w in g.images:
-            out |= taken_turns(w)
-        return out
-    if isinstance(g, Decomposition):
-        return g.limited_turns()
-    raise TypeError(f"cannot take turns of {type(g).__name__}")
-
-
-def _dmap_of(g) -> Mapping[int, int]:
-    return g.direction_map()
 
 
 @dataclass(frozen=True)
@@ -70,8 +52,8 @@ def turn_closure(g) -> TurnClosure:
     Stabilizes within C(2r, 2) rounds since there are finitely many turns.
     """
     rank = g.rank
-    dmap = _dmap_of(g)
-    frontier = _single_image_turns(g)
+    dmap = g.direction_map()
+    frontier = g.limited_turns()
     generations: dict[Turn, int] = {t: 1 for t in frontier}
     turns = set(frontier)
     gen = 1
@@ -117,13 +99,7 @@ def stable_whitehead_graph(g) -> ColoredPairLabeledGraph:
 
 def limited_whitehead_graph(seq) -> frozenset[Turn]:
     """Turns taken by a single application of the (composite) map."""
-    return _single_image_turns(seq)
-
-
-def limited_whitehead_graph_direct(d: Decomposition) -> frozenset[Turn]:
-    """Reference computation of the limited Whitehead graph from the
-    materialized composite; exponential-size at high rank, test use only."""
-    return _single_image_turns(d.as_map())
+    return seq.limited_turns()
 
 
 def ideal_whitehead_graph(d: Decomposition, pnp_certificate) -> ColoredPairLabeledGraph:
@@ -139,7 +115,7 @@ def ideal_whitehead_graph(d: Decomposition, pnp_certificate) -> ColoredPairLabel
     if not is_train_track(d):
         raise NotTrainTrack("the composite takes an illegal turn")
     exponent, _ = rotationless_power(d)
-    power = d if exponent == 1 else d.powered(exponent)
+    power = d.powered(exponent)
     return stable_whitehead_graph(power)
 
 

@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .errors import InvalidLetter, RankError
+from .errors import InvalidLetter, NotTrainTrack, RankError
 
 Direction = int
 Word = tuple[Direction, ...]
@@ -226,11 +227,6 @@ class NielsenGenerator:
             images.append(self.apply((i,)))
         return GraphMap(self.rank, tuple(images))
 
-    def transition_matrix(self) -> list[list[int]]:
-        m = identity_matrix(self.rank)
-        m[abs(self.y) - 1][abs(self.x) - 1] += 1
-        return m
-
     def relabeled(self, perm: Mapping[Direction, Direction]) -> "NielsenGenerator":
         return NielsenGenerator(self.rank, perm[self.x], perm[self.y])
 
@@ -298,6 +294,18 @@ class GraphMap:
         """d -> first edge of the image of d, on all 2r directions."""
         return {d: self.image_of(d)[0] for d in directions(self.rank)}
 
+    def transition_matrix(self) -> list[list[int]]:
+        """Entry (i, j) counts occurrences of E_i and bar(E_i) in g(E_j)."""
+        m = [[0] * self.rank for _ in range(self.rank)]
+        for j in range(1, self.rank + 1):
+            for d in self.images[j - 1]:
+                m[abs(d) - 1][j - 1] += 1
+        return m
+
+    def limited_turns(self) -> frozenset[Turn]:
+        """Turns taken by the single-edge images."""
+        return frozenset().union(*(taken_turns(w) for w in self.images))
+
     def is_identity(self) -> bool:
         return all(self.images[i - 1] == (i,) for i in range(1, self.rank + 1))
 
@@ -336,13 +344,6 @@ def _int_det(m: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
-def generator_to_map(n: NielsenGenerator, rank: int | None = None) -> GraphMap:
-    """The graph map fixing every edge except e_u, whose image is e_a e_u."""
-    if rank is not None and rank != n.rank:
-        n = n.extended(rank)
-    return n.as_map()
-
-
 def compose(outer: GraphMap, inner: GraphMap) -> GraphMap:
     """outer after inner; images substituted and freely reduced."""
     if outer.rank != inner.rank:
@@ -350,38 +351,14 @@ def compose(outer: GraphMap, inner: GraphMap) -> GraphMap:
     return GraphMap(outer.rank, tuple(outer.apply(w) for w in inner.images))
 
 
-def apply_map(g: GraphMap, w: Sequence[Direction]) -> Word:
-    for d in w:
-        check_direction(d, g.rank)
-    return g.apply(w)
-
-
-def direction_map(g: GraphMap) -> dict[Direction, Direction]:
-    return g.direction_map()
-
-
-def illegal_turn_of_generator(n: NielsenGenerator) -> Turn:
-    return n.illegal_turn()
-
-
-def _resolve_direction_map(g) -> tuple[int, dict[Direction, Direction]]:
-    if isinstance(g, GraphMap):
-        return g.rank, g.direction_map()
-    if isinstance(g, Decomposition):
-        return g.rank, g.direction_map()
-    if isinstance(g, NielsenGenerator):
-        return g.rank, {d: g.map_direction(d) for d in directions(g.rank)}
-    raise TypeError(f"cannot take a direction map of {type(g).__name__}")
-
-
 def is_illegal(g, t: Turn, p_max: int | None = None) -> bool:
     """Whether the two directions collide under some iterate of the direction
     map.  Degenerate turns are illegal.  With p_max=None the orbit of the pair
     is followed until it revisits a state, which is exact."""
-    rank, dmap = _resolve_direction_map(g)
+    dmap = g.direction_map()
     d1, d2 = t
-    check_direction(d1, rank)
-    check_direction(d2, rank)
+    check_direction(d1, g.rank)
+    check_direction(d2, g.rank)
     seen = set()
     steps = 0
     while (d1, d2) not in seen:
@@ -397,9 +374,9 @@ def is_illegal(g, t: Turn, p_max: int | None = None) -> bool:
 
 def periodic_directions(g) -> frozenset[Direction]:
     """Directions lying on a cycle of the direction map's functional graph."""
-    rank, dmap = _resolve_direction_map(g)
+    dmap = g.direction_map()
     periodic = set()
-    for d in directions(rank):
+    for d in directions(g.rank):
         seen = []
         cur = d
         while cur not in seen:
@@ -426,27 +403,10 @@ def mat_mul(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     ]
 
 
-def transition_matrix(g: GraphMap) -> list[list[int]]:
-    """Entry (i, j) counts occurrences of E_i and bar(E_i) in g(E_j)."""
-    m = [[0] * g.rank for _ in range(g.rank)]
-    for j in range(1, g.rank + 1):
-        for d in g.images[j - 1]:
-            m[abs(d) - 1][j - 1] += 1
-    return m
-
-
-def _matrix_of(g) -> tuple[int, list[list[int]]]:
-    if isinstance(g, GraphMap):
-        return g.rank, transition_matrix(g)
-    if isinstance(g, Decomposition):
-        return g.rank, g.transition_matrix()
-    raise TypeError(f"no transition matrix for {type(g).__name__}")
-
-
 def is_irreducible(g) -> bool:
     """No invariant proper subgraph: the digraph 'E_j -> E_i when (i,j) > 0'
     is strongly connected."""
-    rank, m = _matrix_of(g)
+    rank, m = g.rank, g.transition_matrix()
     succ = {j: [i for i in range(rank) if m[i][j] > 0] for j in range(rank)}
     pred = {j: [i for i in range(rank) if m[j][i] > 0] for j in range(rank)}
     return _reaches_all(succ, rank) and _reaches_all(pred, rank)
@@ -465,14 +425,17 @@ def _reaches_all(adj: Mapping[int, list[int]], n: int) -> bool:
 
 def is_strictly_irreducible(g) -> bool:
     """Every image g(E_j) contains every E_i up to orientation."""
-    _, m = _matrix_of(g)
-    return all(all(e > 0 for e in row) for row in m)
+    return all(all(e > 0 for e in row) for row in g.transition_matrix())
 
 
 def is_expanding(g) -> bool:
-    """Every column sum of the matrix powers keeps growing (horizon 2r^2;
-    a nonnegative integer matrix stabilizes or grows within that window)."""
-    rank, m = _matrix_of(g)
+    """Every column sum of the matrix powers is above 1 at power 2r^2 and
+    grew over the last 2r powers.
+
+    The 2r^2 horizon is a heuristic with no proof behind it: nothing shows
+    that the column sums of every nonnegative integer matrix settle within
+    it, so this verdict is not certified."""
+    rank, m = g.rank, g.transition_matrix()
     horizon = max(2 * rank * rank, 2)
     window = min(2 * rank, horizon - 1)
     sums = []
@@ -498,6 +461,15 @@ def admissible_pair(a: NielsenGenerator, b: NielsenGenerator) -> bool:
     if b.y == a.x:
         return b.x != -a.y
     return False
+
+
+class _Fold(NamedTuple):
+    """The invariants one pass over a decomposition's steps yields."""
+
+    direction_map: dict[Direction, Direction]
+    transition_matrix: list[list[int]]
+    limited_turns: frozenset[Turn]
+    cancelling_step: int | None  # index of the first step that cancels
 
 
 @dataclass(frozen=True)
@@ -547,20 +519,45 @@ class Decomposition:
             w = n.apply(w)
         return w
 
-    def direction_map(self) -> dict[Direction, Direction]:
+    @cached_property
+    def _fold(self) -> "_Fold":
+        """One pass over the steps, cached on the instance.
+
+        A step [x -> yx] maps the direction x to y; it multiplies the
+        transition matrix on the left by I + E_{|y|,|x|}, which is the row
+        operation row |y| += row |x|; and it maps the turns taken so far by
+        single-edge images, then adds its own turn {bar(y), x}.  The matrix is
+        the formal product of the per-generator matrices, exact only while no
+        step cancels inside an edge image; the turn recursion stops at the
+        first step that would (its illegal turn is already taken).
+        """
         dmap = {d: d for d in directions(self.rank)}
-        for n in self.steps:
-            dmap = {d: n.map_direction(v) for d, v in dmap.items()}
-        return dmap
+        m = identity_matrix(self.rank)
+        turns: set[Turn] = set()
+        cancelling = None
+        for k, n in enumerate(self.steps):
+            x, y = n.x, n.y
+            for d, v in dmap.items():
+                if v == x:
+                    dmap[d] = y
+            row, src = abs(y) - 1, abs(x) - 1
+            m[row] = [a + b for a, b in zip(m[row], m[src])]
+            if cancelling is None:
+                if n.illegal_turn() in turns:
+                    cancelling = k
+                else:
+                    turns = {n.map_turn(t) if x in t else t for t in turns}
+                    turns.add(n.taken_turn())
+        return _Fold(dmap, m, frozenset(turns), cancelling)
+
+    def direction_map(self) -> dict[Direction, Direction]:
+        return dict(self._fold.direction_map)
 
     def transition_matrix(self) -> list[list[int]]:
         """Product of the per-generator matrices.  Exact whenever no free
         reduction occurs inside single-edge images, which holds for admissible
         sequences (and is verified by limited_turns)."""
-        m = identity_matrix(self.rank)
-        for n in self.steps:
-            m = mat_mul(n.transition_matrix(), m)
-        return m
+        return [row[:] for row in self._fold.transition_matrix]
 
     def limited_turns(self) -> frozenset[Turn]:
         """Turns taken by single-edge images of the composite, computed by the
@@ -571,22 +568,17 @@ class Decomposition:
         the next generator's illegal turn), since the recursion and the matrix
         product are only exact for cancellation-free composites.
         """
-        from .errors import NotTrainTrack
-
-        turns: frozenset[Turn] = frozenset()
-        for k, n in enumerate(self.steps):
-            if n.illegal_turn() in turns:
-                raise NotTrainTrack(
-                    f"step {k + 1} ({n}) cancels inside an edge image; "
-                    "the composite is not a graph map"
-                )
-            turns = frozenset(n.map_turn(t) for t in turns) | {n.taken_turn()}
-        return turns
+        k = self._fold.cancelling_step
+        if k is not None:
+            raise NotTrainTrack(
+                f"step {k + 1} ({self.steps[k]}) cancels inside an edge image; "
+                "the composite is not a graph map"
+            )
+        return self._fold.limited_turns
 
     def total_image_length(self) -> int:
         """Sum of the composite's image lengths, from the matrix product."""
-        m = self.transition_matrix()
-        return sum(m[i][j] for i in range(self.rank) for j in range(self.rank))
+        return sum(map(sum, self._fold.transition_matrix))
 
     def rotated(self, k: int) -> "Decomposition":
         """The decomposition of f_k based at the k-th rose: steps k+1..n, 1..k."""
@@ -595,8 +587,11 @@ class Decomposition:
         return Decomposition(self.rank, self.steps[k:] + self.steps[:k], (self.origin + k) % n)
 
     def powered(self, p: int) -> "Decomposition":
+        """The p-th power; the first power is this object, cached fold and all."""
         if p < 1:
             raise ValueError("power must be >= 1")
+        if p == 1:
+            return self
         return Decomposition(self.rank, self.steps * p, self.origin)
 
     def extended(self, rank: int) -> "Decomposition":
@@ -626,12 +621,6 @@ class Decomposition:
         steps = tuple(NielsenGenerator.from_json(g, rank) for g in data["generators"])
         return cls(rank, steps, int(data.get("origin", 0)))
 
-    def cyclic_key(self) -> tuple:
-        """A rotation-invariant key for certificate matching."""
-        spell = tuple((n.x, n.y) for n in self.steps)
-        best = min(spell[i:] + spell[:i] for i in range(len(spell))) if spell else ()
-        return (self.rank, best)
-
 
 def is_cyclically_admissible(d: Decomposition) -> bool:
     """Every cyclically consecutive generator pair satisfies the chaining
@@ -640,11 +629,6 @@ def is_cyclically_admissible(d: Decomposition) -> bool:
         return False
     n = len(d.steps)
     return all(admissible_pair(d.steps[i], d.steps[(i + 1) % n]) for i in range(n))
-
-
-def is_admissible_sequence(steps: Sequence[NielsenGenerator]) -> bool:
-    """Linear (non-cyclic) version of the chaining condition."""
-    return all(admissible_pair(a, b) for a, b in zip(steps, steps[1:]))
 
 
 @dataclass(frozen=True)
@@ -660,7 +644,7 @@ class RotationlessCertificate:
 def rotationless_power(g) -> tuple[int, RotationlessCertificate]:
     """Smallest R (the lcm of direction-orbit cycle lengths) such that every
     periodic direction of g is fixed by the R-th direction map iterate."""
-    rank, dmap = _resolve_direction_map(g)
+    rank, dmap = g.rank, g.direction_map()
     cycles: list[tuple[Direction, ...]] = []
     on_cycle: set[Direction] = set()
     visited: set[Direction] = set()

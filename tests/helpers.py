@@ -3,7 +3,15 @@
 import random
 
 from rosetrack.catalog import rank3_base
-from rosetrack.words import Decomposition, NielsenGenerator, directions
+from rosetrack.errors import NotTrainTrack
+from rosetrack.words import (
+    Decomposition,
+    NielsenGenerator,
+    admissible_pair,
+    directions,
+    identity_matrix,
+    mat_mul,
+)
 
 
 def base_decomposition() -> Decomposition:
@@ -40,3 +48,51 @@ def random_admissible(rng: random.Random, rank: int, length: int) -> Decompositi
             x = rng.choice([d for d in all_d if d not in (prev.x, -prev.x, -prev.y)])
         steps.append(NielsenGenerator(rank, x, y))
     return Decomposition(rank, tuple(steps))
+
+
+def random_cyclically_admissible(rng: random.Random, rank: int, length: int) -> Decomposition:
+    """A random cyclically admissible generator sequence: a walk over
+    admissible pairs, redrawn until its last step chains to its first."""
+    ds = directions(rank)
+    generators = [NielsenGenerator(rank, x, y) for x in ds for y in ds if y not in (x, -x)]
+    while True:
+        steps = [rng.choice(generators)]
+        while len(steps) < length:
+            steps.append(rng.choice([g for g in generators if admissible_pair(steps[-1], g)]))
+        if admissible_pair(steps[-1], steps[0]):
+            return Decomposition(rank, tuple(steps))
+
+
+# ---------------------------------------------------------------------------
+# step-by-step oracles for the invariants Decomposition folds in one pass
+
+
+def product_matrix(d: Decomposition) -> list[list[int]]:
+    """The dense product of the per-generator transition matrices."""
+    m = identity_matrix(d.rank)
+    for n in d.steps:
+        step = identity_matrix(d.rank)
+        step[abs(n.y) - 1][abs(n.x) - 1] += 1
+        m = mat_mul(step, m)
+    return m
+
+
+def stepwise_direction_map(d: Decomposition) -> dict:
+    dmap = {v: v for v in directions(d.rank)}
+    for n in d.steps:
+        dmap = {v: n.map_direction(w) for v, w in dmap.items()}
+    return dmap
+
+
+def stepwise_limited_turns(d: Decomposition) -> frozenset:
+    """The turn recursion W(g_{k,1}) = T(g_k) u D g_k(W(g_{k-1,1})), raising
+    NotTrainTrack at the first step whose illegal turn is already taken."""
+    turns: frozenset = frozenset()
+    for k, n in enumerate(d.steps):
+        if n.illegal_turn() in turns:
+            raise NotTrainTrack(
+                f"step {k + 1} ({n}) cancels inside an edge image; "
+                "the composite is not a graph map"
+            )
+        turns = frozenset(n.map_turn(t) for t in turns) | {n.taken_turn()}
+    return turns

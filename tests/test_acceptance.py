@@ -28,7 +28,6 @@ from rosetrack.whitehead import (
     ideal_whitehead_graph,
     index_list,
     limited_whitehead_graph,
-    limited_whitehead_graph_direct,
     is_train_track,
 )
 from rosetrack.words import (
@@ -195,7 +194,7 @@ def test_criterion_10_property_suites():
     for _ in range(100):
         rank = rng.choice([2, 3, 4])
         d = random_admissible(rng, rank, rng.randrange(1, 13))
-        assert limited_whitehead_graph(d) == limited_whitehead_graph_direct(d)
+        assert limited_whitehead_graph(d) == d.as_map().limited_turns()
         g = d.as_map()
         for i in range(1, rank + 1):
             assert i in g.images[i - 1]

@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from rosetrack.cli import run
 from rosetrack.graphs import cut_vertices, ColoredPairLabeledGraph
 from rosetrack.words import Decomposition
@@ -195,3 +197,30 @@ def test_bounds_flags_accepted(monkeypatch, capsys):
         ["pnp", "--bounds.max-passes", "1", "--bounds.max-len", "1"],
     )
     assert code in (1, 3)
+
+
+MALFORMED_DOCS = [
+    [{"rank": 3, "generators": [{"x": "a", "y": "b"}]}],  # top-level list
+    {"rank": 3, "generators": [{"x": "a"}]},  # generator without "y"
+    {"rank": 3, "generators": [{"x": "a", "y": "d"}]},  # letter out of range
+    {"rank": 3, "generators": [{"x": 1, "y": "b"}]},  # letter not a string
+    {"rank": 3, "generators": 7},  # generators not a list
+    {"generators": []},  # no rank
+]
+
+
+@pytest.mark.parametrize(
+    "argv, doc",
+    [([verb], doc) for verb in ("verify", "pnp", "iwg") for doc in MALFORMED_DOCS]
+    + [(["pipeline", "--rank", rank], None) for rank in ("2", "0", "-1")],
+)
+def test_malformed_input_is_usage_error(monkeypatch, capsys, argv, doc):
+    import io
+    import sys
+
+    if doc is not None:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(doc)))
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 2, err
+    assert "Traceback" not in err
+    assert ("malformed decomposition" if doc is not None else "rank") in err

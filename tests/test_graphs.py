@@ -215,3 +215,103 @@ def test_relabel_requires_pair_respecting():
     g = path_graph([1, -1, 2], 3)
     with pytest.raises(ValueError):
         g.relabeled({1: 2, -1: 3})
+
+
+# ---------------------------------------------------------------------------
+# networkx as an independent oracle (test-only; the runtime stays stdlib-only)
+
+
+def random_colored_graph(rng, rank, max_vertices=8):
+    labels = [d for i in range(1, rank + 1) for d in (i, -i)]
+    rng.shuffle(labels)
+    verts = labels[: rng.randrange(1, min(max_vertices, len(labels)) + 1)]
+    edges = [
+        (u, v, rng.choice((BLACK, RED, PURPLE)))
+        for i, u in enumerate(verts)
+        for v in verts[i + 1:]
+        if rng.random() < 0.3
+    ]
+    return ColoredPairLabeledGraph.build(rank, {v: rng.choice((PURPLE, RED)) for v in verts}, edges)
+
+
+def random_pair_permutation(rng, rank):
+    images = list(range(1, rank + 1))
+    rng.shuffle(images)
+    perm = {}
+    for i, img in zip(range(1, rank + 1), images):
+        img *= rng.choice((1, -1))
+        perm[i], perm[-i] = img, -img
+    return perm
+
+
+def to_networkx(nx, g):
+    """Vertex colors as node data; each vertex pair carries the set of its
+    edge colors plus 'pair' when it is an edge pair {v, bar(v)}."""
+    h = nx.Graph()
+    for v in g.vertices():
+        h.add_node(v, color=g.color_of(v))
+    kinds = {}
+    for u, v, c in g.edges:
+        kinds.setdefault(frozenset((u, v)), set()).add(c)
+    for v in g.vertices():
+        if v > 0 and g.has_vertex(-v):
+            kinds.setdefault(frozenset((v, -v)), set()).add("pair")
+    for pair, ks in kinds.items():
+        h.add_edge(*pair, kinds=frozenset(ks))
+    return h
+
+
+def test_cut_vertices_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(31)
+    for _ in range(200):
+        g = random_pair_graph(rng, rng.choice([3, 4, 5]))
+        h = nx.Graph()
+        h.add_nodes_from(g.vertices())
+        h.add_edges_from((u, v) for u, v, _ in g.edges)
+        assert cut_vertices(g) == frozenset(nx.articulation_points(h))
+
+
+def test_strongly_connected_components_against_networkx():
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(37)
+    for _ in range(200):
+        n = rng.randrange(1, 12)
+        density = rng.random() * 0.4
+        succ = {v: [w for w in range(n) if rng.random() < density] for v in range(n)}
+        h = nx.DiGraph()
+        h.add_nodes_from(range(n))
+        h.add_edges_from((v, w) for v, ws in succ.items() for w in ws)
+        ours = strongly_connected_components(list(range(n)), succ.__getitem__)
+        assert sorted(map(sorted, ours)) == sorted(map(sorted, nx.strongly_connected_components(h)))
+
+
+def test_is_isomorphic_against_networkx():
+    nx = pytest.importorskip("networkx")
+    iso = nx.algorithms.isomorphism
+    rng = random.Random(41)
+    answers = set()
+    for _ in range(150):
+        rank = rng.choice([2, 3, 4])
+        g = random_colored_graph(rng, rank)
+        h = g.relabeled(random_pair_permutation(rng, rank))
+        if h.edges and rng.random() < 0.5:
+            # recolor one edge: sometimes still isomorphic, usually not
+            u, v, c = h.edges[rng.randrange(len(h.edges))]
+            h = ColoredPairLabeledGraph.build(
+                rank,
+                dict(h.vertex_colors),
+                [e for e in h.edges if e != (u, v, c)] + [(u, v, rng.choice((BLACK, RED, PURPLE)))],
+            )
+        ok, witness = is_isomorphic(g, h)
+        expected = nx.is_isomorphic(
+            to_networkx(nx, g),
+            to_networkx(nx, h),
+            node_match=iso.categorical_node_match("color", None),
+            edge_match=iso.categorical_edge_match("kinds", None),
+        )
+        assert ok == expected, (g, h)
+        if ok:
+            assert all(witness[-v] == -witness[v] for v in witness if -v in witness)
+        answers.add(ok)
+    assert answers == {True, False}

@@ -203,3 +203,28 @@ def test_search_against_brute_force_oracle_on_random_corpus():
             assert d.rotated(f.phase).powered(f.period_passes).apply(f.rho) == f.rho
     # the corpus should exercise both verdicts
     assert seen_none > 0 and seen_found > 0, (seen_none, seen_found)
+
+
+def test_found_is_always_verified_on_cyclic_corpus():
+    # a recurrent state whose path fails verification is not a Nielsen path:
+    # the search keeps looking and never reports it as found
+    import random
+
+    from helpers import random_cyclically_admissible
+
+    rng = random.Random(1)
+    found = 0
+    for _ in range(150):
+        d = random_cyclically_admissible(rng, rng.choice([3, 4]), rng.randrange(6, 17))
+        try:
+            out = search_inps(d)
+        except NotTrainTrack:
+            continue
+        assert not (out.verdict == FOUND and not out.found.verified), d.to_json()
+        if out.verdict == FOUND:
+            found += 1
+            f = out.found
+            assert d.rotated(f.phase).powered(f.period_passes).apply(f.rho) == f.rho
+        if out.verdict == INCONCLUSIVE:
+            assert any(rec.death_step is None for rec in out.trace)
+    assert found > 0

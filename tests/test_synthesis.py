@@ -15,7 +15,6 @@ from rosetrack.synthesis import (
     normalize_achieved,
     pair_permutation,
     realize_glued,
-    relabel,
     theorem_a_pipeline,
 )
 from rosetrack.words import turn
@@ -41,13 +40,13 @@ def two_sides():
 
 def test_relabel_identity():
     s = base_side().structure
-    assert relabel(s, {d: d for d in range(-3, 4) if d}) == s
+    assert s.relabeled({d: d for d in range(-3, 4) if d}) == s
 
 
 def test_relabel_involution():
     s = base_side().structure
     swap = pair_permutation({2: 3, 3: 2}, 3)
-    assert relabel(relabel(s, swap), swap) == s
+    assert s.relabeled(swap).relabeled(swap) == s
 
 
 def test_relabel_preserves_isomorphism_type():
@@ -58,7 +57,7 @@ def test_relabel_preserves_isomorphism_type():
     perm = pair_permutation(
         {i: sign * img for i, img, sign in zip((1, 2, 3), imgs, (1, -1, 1))}, 3
     )
-    ok, _ = is_isomorphic(relabel(s, perm).as_graph(), s.as_graph())
+    ok, _ = is_isomorphic(s.relabeled(perm).as_graph(), s.as_graph())
     assert ok
 
 

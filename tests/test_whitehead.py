@@ -11,7 +11,6 @@ from rosetrack.whitehead import (
     index_list,
     is_train_track,
     limited_whitehead_graph,
-    limited_whitehead_graph_direct,
     local_whitehead_graph,
     stable_whitehead_graph,
     turn_closure,
@@ -20,8 +19,6 @@ from rosetrack.words import (
     Decomposition,
     GraphMap,
     NielsenGenerator,
-    apply_map,
-    generator_to_map,
     taken_turns,
     turn,
 )
@@ -35,7 +32,7 @@ def brute_force_closure(g: GraphMap, depth: int):
     for i in range(1, g.rank + 1):
         w = (i,)
         for _ in range(depth):
-            w = apply_map(g, w)
+            w = g.apply(w)
             turns |= taken_turns(w)
     return turns
 
@@ -51,7 +48,7 @@ def test_closure_of_identity_is_empty():
 
 def test_closure_of_single_generator():
     # [b -> a-b]: the image turn {a,b} maps to {a,a-} and stabilizes
-    g = generator_to_map(NielsenGenerator(3, 2, -1))
+    g = NielsenGenerator(3, 2, -1).as_map()
     c = turn_closure(g)
     assert c.turns == frozenset({turn(1, 2), turn(1, -1)})
     assert c.generation_of(turn(1, 2)) == 1
@@ -106,7 +103,7 @@ def test_stable_graph_of_all_periodic_map():
 
 
 def test_stable_graph_drops_nonperiodic_direction():
-    g = generator_to_map(NielsenGenerator(3, 2, -1))
+    g = NielsenGenerator(3, 2, -1).as_map()
     sw = stable_whitehead_graph(g)
     assert 2 not in sw.vertices()
     assert len(sw.vertices()) == 5
@@ -132,7 +129,7 @@ def test_limited_graph_recursion_matches_direct():
     g1 = NielsenGenerator.from_append(3, 1, -2)
     g2 = NielsenGenerator(3, 2, -1)
     d = Decomposition(3, (g1, g2))
-    assert limited_whitehead_graph(d) == limited_whitehead_graph_direct(d)
+    assert limited_whitehead_graph(d) == d.as_map().limited_turns()
 
 
 def test_limited_graph_of_composite_matches_image_words():
@@ -147,7 +144,7 @@ def test_limited_recursion_on_random_admissible_corpus():
     for _ in range(100):
         rank = rng.choice([2, 3, 4])
         d = random_admissible(rng, rank, rng.randrange(1, 13))
-        assert limited_whitehead_graph(d) == limited_whitehead_graph_direct(d)
+        assert limited_whitehead_graph(d) == d.as_map().limited_turns()
 
 
 def test_limited_subset_of_local():

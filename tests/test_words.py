@@ -3,19 +3,15 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rosetrack.errors import InvalidLetter, RankError
+from rosetrack.errors import InvalidLetter, NotTrainTrack, RankError
 from rosetrack.words import (
     Decomposition,
     GraphMap,
     NielsenGenerator,
     admissible_pair,
-    apply_map,
     compose,
-    direction_map,
     directions,
     format_word,
-    generator_to_map,
-    illegal_turn_of_generator,
     invert_word,
     is_cyclically_admissible,
     is_expanding,
@@ -29,11 +25,18 @@ from rosetrack.words import (
     rotationless_power,
     strip_common_prefix,
     taken_turns,
-    transition_matrix,
     turn,
 )
 
-from helpers import base_decomposition, random_admissible, random_word
+from helpers import (
+    base_decomposition,
+    product_matrix,
+    random_admissible,
+    random_generator,
+    random_word,
+    stepwise_direction_map,
+    stepwise_limited_turns,
+)
 
 
 def W(s, rank=3):
@@ -96,7 +99,7 @@ def test_prepend_normal_form_of_append_generator():
 
 def test_generator_to_map_fixes_other_edges():
     g2 = NielsenGenerator(3, 2, -1)  # [b -> a-b]
-    m = generator_to_map(g2)
+    m = g2.as_map()
     assert m.images == (W("a"), W("a-b"), W("c"))
 
 
@@ -171,11 +174,11 @@ def test_apply_matches_composition():
     rng = random.Random(7)
     for _ in range(20):
         w = random_word(rng, 3, 8)
-        assert apply_map(g, w) == d.apply(w)
+        assert g.apply(w) == d.apply(w)
 
 
 def test_apply_identity():
-    assert apply_map(GraphMap.identity(3), W("ba-c")) == W("ba-c")
+    assert GraphMap.identity(3).apply(W("ba-c")) == W("ba-c")
 
 
 # ---------------------------------------------------------------------------
@@ -184,8 +187,8 @@ def test_apply_identity():
 
 def test_direction_map_of_single_generator():
     g2 = NielsenGenerator(3, 2, -1)  # [b -> a-b]
-    m = generator_to_map(g2)
-    dm = direction_map(m)
+    m = g2.as_map()
+    dm = m.direction_map()
     assert dm[2] == -1
     assert all(dm[d] == d for d in directions(3) if d != 2)
     assert g2.missing_direction == 2
@@ -200,7 +203,7 @@ def test_direction_map_of_composite():
     # derived by iterating the direction map: every direction is fixed except
     # b, which lands on a- (so b is the unique nonperiodic direction)
     g = base_decomposition().as_map()
-    dm = direction_map(g)
+    dm = g.direction_map()
     assert dm[2] == -1
     assert all(dm[d] == d for d in directions(3) if d != 2)
     assert periodic_directions(g) == frozenset({1, -1, -2, 3, -3})
@@ -215,10 +218,10 @@ def test_taken_turns():
 
 
 def test_illegal_turn_of_generators():
-    assert illegal_turn_of_generator(NielsenGenerator(3, 2, -1)) == turn(2, -1)
-    assert illegal_turn_of_generator(NielsenGenerator(3, 2, -3)) == turn(2, -3)
+    assert NielsenGenerator(3, 2, -1).illegal_turn() == turn(2, -1)
+    assert NielsenGenerator(3, 2, -3).illegal_turn() == turn(2, -3)
     g1 = NielsenGenerator.from_append(3, 1, -2)
-    assert illegal_turn_of_generator(g1) == turn(-1, 2)
+    assert g1.illegal_turn() == turn(-1, 2)
 
 
 def test_is_illegal():
@@ -245,7 +248,7 @@ def test_illegal_monotone_under_composition_prefix():
 
 def test_transition_matrix_of_composite():
     g = base_decomposition().as_map()
-    m = transition_matrix(g)
+    m = g.transition_matrix()
     assert m == [[5, 3, 3], [3, 2, 2], [6, 4, 5]]
     assert m == base_decomposition().transition_matrix()
 
@@ -257,8 +260,8 @@ def test_transition_matrix_multiplicative():
         left = Decomposition(3, d.steps[:3])
         right = Decomposition(3, d.steps[3:])
         g, h = left.as_map(), right.as_map()
-        assert transition_matrix(compose(h, g)) == mat_mul(
-            transition_matrix(h), transition_matrix(g)
+        assert compose(h, g).transition_matrix() == mat_mul(
+            h.transition_matrix(), g.transition_matrix()
         )
 
 
@@ -269,7 +272,7 @@ def test_matrix_product_overcounts_cancelling_composites():
     b = NielsenGenerator(2, 1, -2)
     d = Decomposition(2, (a, b))
     product = d.transition_matrix()
-    true = transition_matrix(d.as_map())
+    true = d.as_map().transition_matrix()
     assert all(
         product[i][j] >= true[i][j] for i in range(2) for j in range(2)
     )
@@ -292,7 +295,7 @@ def test_identity_not_irreducible_not_expanding():
 
 
 def test_single_generator_not_irreducible():
-    m = generator_to_map(NielsenGenerator(3, 2, -1))
+    m = NielsenGenerator(3, 2, -1).as_map()
     assert not is_irreducible(m)
 
 
@@ -417,9 +420,57 @@ def test_apply_compose_functorial(seed):
     left = Decomposition(3, d.steps[:3]).as_map()
     right = Decomposition(3, d.steps[3:]).as_map()
     w = random_word(rng, 3, 6)
-    assert apply_map(compose(right, left), w) == apply_map(right, apply_map(left, w))
+    assert compose(right, left).apply(w) == right.apply(left.apply(w))
 
 
 def test_invert_word_involution():
     w = W("ab-ca")
     assert invert_word(invert_word(w)) == w
+
+
+# ---------------------------------------------------------------------------
+# the one-pass fold against the step-by-step oracles it replaced
+
+
+def _turns_or_cancel(limited_turns):
+    try:
+        return limited_turns()
+    except NotTrainTrack as exc:
+        return str(exc)
+
+
+def test_fold_matches_stepwise_oracles():
+    # admissible sequences never cancel; unconstrained ones often do, and for
+    # those the formal product and direction map must still agree
+    rng = random.Random(19)
+    cancelling = 0
+    for i in range(240):
+        rank = rng.choice([2, 3, 4, 5])
+        length = rng.randrange(1, 16)
+        if i % 2:
+            d = random_admissible(rng, rank, length)
+        else:
+            d = Decomposition(rank, tuple(random_generator(rng, rank) for _ in range(length)))
+        assert d.transition_matrix() == product_matrix(d)
+        assert d.direction_map() == stepwise_direction_map(d)
+        turns = _turns_or_cancel(d.limited_turns)
+        assert turns == _turns_or_cancel(lambda: stepwise_limited_turns(d))
+        if isinstance(turns, str):
+            cancelling += 1
+            continue
+        g = d.as_map()
+        assert g.transition_matrix() == d.transition_matrix()
+        assert g.direction_map() == d.direction_map()
+        assert g.limited_turns() == turns
+    assert cancelling > 0
+
+
+def test_fold_results_cannot_be_changed_through_returned_values():
+    d = base_decomposition()
+    m = d.transition_matrix()
+    m[0][0] = -1
+    m[1] = []
+    dm = d.direction_map()
+    dm[1] = 0
+    assert d.transition_matrix() == [[5, 3, 3], [3, 2, 2], [6, 4, 5]]
+    assert d.direction_map() == stepwise_direction_map(d)
