@@ -30,7 +30,6 @@ from .errors import (
 )
 from .graphs import (
     ColoredPairLabeledGraph,
-    brute_force_cut_vertices,
     connected_components,
     cut_vertices,
     is_isomorphic,
@@ -57,7 +56,6 @@ from .whitehead import (
     ideal_whitehead_graph,
     index_list,
     is_train_track,
-    limited_whitehead_graph,
     local_whitehead_graph,
     stable_whitehead_graph,
     turn_closure,

@@ -45,6 +45,14 @@ from .words import (
 OK, FAIL, USAGE, UNDECIDED = 0, 1, 2, 3
 
 
+class _Exit(Exception):
+    """Ends a verb early with an exit code; the message goes to stderr."""
+
+    def __init__(self, code: int, message: str):
+        super().__init__(message)
+        self.code = code
+
+
 def _read_decomposition(path: str | None) -> Decomposition:
     """Parse a decomposition document; any malformed one is a usage error."""
     if path is None or path == "-":
@@ -83,19 +91,24 @@ def _search(d: Decomposition, args):
     return search_inps(d, max_passes=args.max_passes, max_len=args.max_len)
 
 
+def _certificate(d: Decomposition, args):
+    """The Nielsen-path-freeness certificate of d; without one the verb exits
+    3 if the search was inconclusive and 1 otherwise."""
+    outcome = _search(d, args)
+    cert = outcome.certificate()
+    if cert is None:
+        code = UNDECIDED if outcome.verdict == INCONCLUSIVE else FAIL
+        raise _Exit(code, f"no certificate: search verdict {outcome.verdict}")
+    return cert
+
+
 def _certified(body):
     """A verb that runs body(args, d, cert) on the input decomposition and its
-    Nielsen-path-freeness certificate; without a certificate it exits 3 if the
-    search was inconclusive and 1 otherwise."""
+    certificate."""
 
     def cmd(args) -> int:
         d = _read_decomposition(args.input)
-        outcome = _search(d, args)
-        cert = outcome.certificate()
-        if cert is None:
-            sys.stderr.write(f"no certificate: search verdict {outcome.verdict}\n")
-            return UNDECIDED if outcome.verdict == INCONCLUSIVE else FAIL
-        return body(args, d, cert)
+        return body(args, d, _certificate(d, args))
 
     return cmd
 
@@ -197,12 +210,8 @@ def cmd_id_diagram(args, d, cert) -> int:
 def cmd_glue(args) -> int:
     left_d = _read_decomposition(args.left)
     right_d = _read_decomposition(args.right)
-    try:
-        left = normalize_achieved(left_d, _search(left_d, args).certificate())
-        right = normalize_achieved(right_d, _search(right_d, args).certificate())
-    except RosetrackError as exc:
-        sys.stderr.write(f"{exc}\n")
-        return FAIL
+    left = normalize_achieved(left_d, _certificate(left_d, args))
+    right = normalize_achieved(right_d, _certificate(right_d, args))
     shared = tuple(int(tok) for tok in args.shared.split(","))
     combined, cert = realize_glued(
         GluingSpec(left, right, shared), max_passes=args.max_passes, max_len=args.max_len
@@ -309,6 +318,9 @@ def run(argv: list[str]) -> int:
         return USAGE if exc.code not in (0, None) else OK
     try:
         return args.func(args)
+    except _Exit as exc:
+        sys.stderr.write(f"{exc}\n")
+        return exc.code
     except RosetrackError as exc:
         sys.stderr.write(f"{exc}\n")
         return FAIL

@@ -354,11 +354,16 @@ def loop_of_decomposition(d: Decomposition, pnp_certificate) -> tuple[Generating
     return tuple(out)
 
 
-def diagram_to_json(diagram: IdDiagram, component_only: bool = True) -> dict:
-    """Structured listing of the diagram: nodes with their red data and
-    purple edges, and one record per triple."""
-    keys = sorted(diagram.seed_component() if component_only else diagram.node_keys())
-    names = {k: f"n{i}" for i, k in enumerate(keys)}
+def _seed_component_names(diagram: IdDiagram) -> tuple[frozenset, dict]:
+    """The seed's component and its nodes' names n0, n1, ... in key order."""
+    comp = diagram.seed_component()
+    return comp, {k: f"n{i}" for i, k in enumerate(sorted(comp))}
+
+
+def diagram_to_json(diagram: IdDiagram) -> dict:
+    """Structured listing of the seed's component: nodes with their red data
+    and purple edges, and one record per triple."""
+    comp, names = _seed_component_names(diagram)
 
     def describe(s: LttStructure) -> dict:
         return {
@@ -371,48 +376,41 @@ def diagram_to_json(diagram: IdDiagram, component_only: bool = True) -> dict:
         }
 
     nodes = []
-    for k in keys:
-        entry = {"id": names[k], "seed": k == diagram.seed.key()}
+    for k, name in names.items():
+        entry = {"id": name, "seed": k == diagram.seed.key()}
         entry.update(describe(diagram.structure(k)))
         nodes.append(entry)
-    edges = []
-    for t in diagram.edges:
-        sk, tk = t.source.key(), t.target.key()
-        if sk in names and tk in names:
-            edges.append(
-                {
-                    "generator": {"x": format_direction(t.generator.x),
-                                  "y": format_direction(t.generator.y)},
-                    "source": names[sk],
-                    "target": names[tk],
-                    "kind": t.kind,
-                    "determining_edge": [format_direction(v) for v in t.determining_edge],
-                }
-            )
+    edges = [
+        {
+            "generator": {"x": format_direction(t.generator.x),
+                          "y": format_direction(t.generator.y)},
+            "source": names[t.source.key()],
+            "target": names[t.target.key()],
+            "kind": t.kind,
+            "determining_edge": [format_direction(v) for v in t.determining_edge],
+        }
+        for t in diagram.component_edges(comp)
+    ]
     edges.sort(key=lambda e: (e["source"], e["target"], e["kind"], str(e["determining_edge"])))
     return {"rank": diagram.seed.rank, "nodes": nodes, "edges": edges}
 
 
-def diagram_to_dot(diagram: IdDiagram, component_only: bool = True) -> str:
-    """Deterministic DOT for a diagram (or just the seed's component), nodes
-    annotated with their red vertex and red edge."""
-    keys = sorted(diagram.seed_component() if component_only else diagram.node_keys())
-    names = {k: f"n{i}" for i, k in enumerate(keys)}
+def diagram_to_dot(diagram: IdDiagram) -> str:
+    """Deterministic DOT for the seed's component, nodes annotated with their
+    red vertex and red edge."""
+    comp, names = _seed_component_names(diagram)
     lines = ["digraph id_diagram {"]
-    for k in keys:
+    for k, name in names.items():
         s = diagram.structure(k)
         red = format_direction(s.red_vertex)
         e = "[%s,%s]" % (format_direction(s.red_edge[0]), format_direction(s.red_edge[1]))
         mark = " (seed)" if k == diagram.seed.key() else ""
-        lines.append(f'  {names[k]} [label="red {red} edge {e}{mark}"];')
-    edge_lines = []
-    for t in diagram.edges:
-        sk, tk = t.source.key(), t.target.key()
-        if sk in names and tk in names:
-            edge_lines.append(
-                f'  {names[sk]} -> {names[tk]} [label="{t.generator} {t.kind[:3]}"];'
-            )
-    lines.extend(sorted(edge_lines))
+        lines.append(f'  {name} [label="red {red} edge {e}{mark}"];')
+    lines.extend(sorted(
+        f'  {names[t.source.key()]} -> {names[t.target.key()]} '
+        f'[label="{t.generator} {t.kind[:3]}"];'
+        for t in diagram.component_edges(comp)
+    ))
     lines.append("}")
     return "\n".join(lines) + "\n"
 

@@ -83,23 +83,6 @@ class ColoredPairLabeledGraph:
             for e in self.edges
         )
 
-    def edges_of_color(self, *colors: str) -> tuple[Edge, ...]:
-        return tuple(e for e in self.edges if e[2] in colors)
-
-    def colored_edges(self) -> tuple[Edge, ...]:
-        return self.edges_of_color(RED, PURPLE)
-
-    def neighbors(self, v: Direction, colors: Sequence[str] = EDGE_COLORS) -> tuple[Direction, ...]:
-        out = []
-        for a, b, c in self.edges:
-            if c not in colors:
-                continue
-            if a == v:
-                out.append(b)
-            elif b == v:
-                out.append(a)
-        return tuple(sorted(out, key=_label_key))
-
     def degree(self, v: Direction) -> int:
         return sum(1 for a, b, _ in self.edges if v in (a, b))
 
@@ -121,13 +104,13 @@ class ColoredPairLabeledGraph:
             [e for e in self.edges if e not in dropped],
         )
 
-    def relabeled(self, perm: Mapping[Direction, Direction], rank: int | None = None) -> "ColoredPairLabeledGraph":
+    def relabeled(self, perm: Mapping[Direction, Direction]) -> "ColoredPairLabeledGraph":
         """Apply an edge-pair-respecting relabeling (perm[-v] must be -perm[v])."""
         for v in perm:
             if -v in perm and perm[-v] != -perm[v]:
                 raise ValueError("relabeling does not respect edge pairs")
         return ColoredPairLabeledGraph.build(
-            rank if rank is not None else self.rank,
+            self.rank,
             {perm.get(v, v): c for v, c in self.vertex_colors},
             [(perm.get(u, u), perm.get(v, v), c) for u, v, c in self.edges],
         )
@@ -234,17 +217,6 @@ def cut_vertices(g: ColoredPairLabeledGraph) -> frozenset[Direction]:
                     cuts.add(parent)
         if root_children > 1:
             cuts.add(root)
-    return frozenset(cuts)
-
-
-def brute_force_cut_vertices(g: ColoredPairLabeledGraph) -> frozenset[Direction]:
-    """Delete-and-recount oracle; quadratic, used to cross-check cut_vertices."""
-    base = len(connected_components(g))
-    cuts = set()
-    for v in g.vertices():
-        h = g.induced(set(g.vertices()) - {v})
-        if len(connected_components(h)) > base:
-            cuts.add(v)
     return frozenset(cuts)
 
 
@@ -403,8 +375,8 @@ def _is_witness(
 # DOT serialization (sorted emission, so output is byte-stable)
 
 
-def to_dot(g: ColoredPairLabeledGraph, name: str = "g") -> str:
-    lines = [f"graph {name} {{"]
+def to_dot(g: ColoredPairLabeledGraph) -> str:
+    lines = ["graph g {"]
     lines.append(f"  node [color={PURPLE}];")
     for v, c in g.vertex_colors:
         if c != PURPLE:

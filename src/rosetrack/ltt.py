@@ -91,7 +91,7 @@ class LttStructure:
             edges.append((t[0], t[1], BLACK))
         return ColoredPairLabeledGraph.build(self.rank, dict(g.vertex_colors), edges)
 
-    def relabeled(self, perm: Mapping[Direction, Direction], rank: int | None = None) -> "LttStructure":
+    def relabeled(self, perm: Mapping[Direction, Direction]) -> "LttStructure":
         full = {}
         for v in directions(self.rank):
             full[v] = perm.get(v, v)
@@ -99,7 +99,7 @@ class LttStructure:
                 raise ValueError("relabeling does not respect edge pairs")
         apply = lambda t: turn(full[t[0]], full[t[1]])
         return LttStructure(
-            rank if rank is not None else self.rank,
+            self.rank,
             full[self.red_vertex],
             apply(self.red_edge),
             frozenset(apply(t) for t in self.purple_edges),
@@ -195,7 +195,7 @@ def smooth_dart_graph(g: ColoredPairLabeledGraph) -> tuple[list, dict]:
     return darts, succ
 
 
-def is_birecurrent(s, ignore_isolated_pairs: bool = False) -> bool:
+def is_birecurrent(s: LttStructure, ignore_isolated_pairs: bool = False) -> bool:
     """Whether a smooth line can traverse every edge infinitely often in both
     directions.
 
@@ -208,7 +208,7 @@ def is_birecurrent(s, ignore_isolated_pairs: bool = False) -> bool:
     With ignore_isolated_pairs, black edges on pairs carrying no colored edge
     (as produced by rank extension) are exempted.
     """
-    g = s.as_graph() if isinstance(s, LttStructure) else s
+    g = s.as_graph()
     if ignore_isolated_pairs:
         touched = set()
         for u, v, c in g.edges:

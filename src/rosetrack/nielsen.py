@@ -15,7 +15,7 @@ or a recurrent state fails verification (inconclusive).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import NotTrainTrack
@@ -35,6 +35,7 @@ from .words import (
     is_irreducible,
     reduce_word,
     rotationless_power,
+    strip_common_prefix,
     turn,
 )
 
@@ -126,19 +127,13 @@ class SearchOutcome:
     passes: int = 0
     sequence_length: int = 0
     expanding_irreducible: bool = False
+    pnp_certificate: PnpCertificate | None = None
 
     def certificate(self) -> PnpCertificate | None:
-        """A Nielsen-path-freeness certificate; only a fully dead search on an
-        expanding irreducible composite supports the no-paths reading."""
-        if self.verdict != NONE_LEGALIZED or not self.expanding_irreducible:
-            return None
-        return PnpCertificate(
-            self.rank, self._root, self.passes, self._max_len
-        )
-
-    # stashed by search_inps so certificate() can be issued later
-    _root: tuple = field(default=(), compare=False)
-    _max_len: int = field(default=0, compare=False)
+        """The Nielsen-path-freeness certificate, or None: only a fully dead
+        search on an expanding irreducible composite supports the no-paths
+        reading."""
+        return self.pnp_certificate
 
 
 @dataclass
@@ -233,21 +228,14 @@ def search_inps(
             survivors.append(_record(cand, None, None, "unverified_recurrence", False))
         return None
 
-    while frontier:
+    found: FoundNp | None = None
+    while frontier and found is None:
         br = frontier.pop(0)
         if br.step >= max_steps:
             survivors.append(_record(br, None, None, None, False))
             continue
         gen = steps[br.step % n]
-        im_u = gen.apply(br.rem_u)
-        im_a = gen.apply(br.rem_a)
-        # tighten the common prefix
-        cut = 0
-        for x, y in zip(im_u, im_a):
-            if x != y:
-                break
-            cut += 1
-        rem_u, rem_a = im_u[cut:], im_a[cut:]
+        _, rem_u, rem_a = strip_common_prefix(gen.apply(br.rem_u), gen.apply(br.rem_a))
         s = br.step + 1
         target = steps[s % n].illegal_turn()
         if rem_u and rem_a:
@@ -258,9 +246,6 @@ def search_inps(
                 continue
             found = settle(NpCandidate(br.side_u, br.side_a, rem_u, rem_a, s,
                                        br.extensions, br.seen))
-            if found is not None:
-                return _finish_found(found, d, dead, survivors, max_passes,
-                                     max_len, n, expanding_irreducible)
             continue
         if not rem_u and not rem_a:
             # distinct legal candidates cannot have identical tight images
@@ -297,20 +282,25 @@ def search_inps(
             else:
                 nb = NpCandidate(br.side_u, side + (e,), rem_u, img, s,
                              br.extensions + ((SIDE_A, e, s),), dict(br.seen))
+            extended_any = True
             found = settle(nb)
             if found is not None:
-                return _finish_found(found, d, dead, survivors, max_passes,
-                                     max_len, n, expanding_irreducible)
-            extended_any = True
+                break
         if not extended_any:
             dead.append(_record(br, s + 1, None, "no_extension", False))
 
-    trace = tuple(dead + survivors)
-    verdict = NONE_LEGALIZED if not survivors else INCONCLUSIVE
+    if found is not None:
+        verdict = FOUND
+    elif survivors:
+        verdict = INCONCLUSIVE
+    else:
+        verdict = NONE_LEGALIZED
+    cert = None
+    if verdict == NONE_LEGALIZED and expanding_irreducible:
+        cert = PnpCertificate(d.rank, _primitive_root(d), max_passes, max_len)
     return SearchOutcome(
-        verdict, d.rank, trace, None, max_passes, len(steps),
-        expanding_irreducible,
-        _root=_primitive_root(d), _max_len=max_len,
+        verdict, d.rank, tuple(dead + survivors), found, max_passes, n,
+        expanding_irreducible, cert,
     )
 
 
@@ -329,14 +319,6 @@ def _advance(br: NpCandidate, rotations, n: int):
         return FoundNp(rho, phase, period, verified)
     br.seen[key] = br.step
     return br
-
-
-def _finish_found(found, d, dead, survivors, max_passes, max_len, n, expirr):
-    trace = tuple(dead + survivors)
-    return SearchOutcome(
-        FOUND, d.rank, trace, found, max_passes, n, expirr,
-        _root=_primitive_root(d), _max_len=max_len,
-    )
 
 
 def _record(

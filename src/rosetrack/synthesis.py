@@ -19,7 +19,7 @@ from typing import Callable
 
 from .catalog import rank3_base
 from .errors import SpecError
-from .graphs import ColoredPairLabeledGraph, PURPLE, connected_components, cut_vertices
+from .graphs import ColoredPairLabeledGraph, PURPLE, cut_vertices, is_connected
 from .ltt import LttStructure, build_ltt
 from .nielsen import (
     DEFAULT_MAX_PASSES,
@@ -32,7 +32,6 @@ from .whitehead import (
     ideal_whitehead_graph,
     index_list,
     is_train_track,
-    limited_whitehead_graph,
     turn_closure,
 )
 from .words import (
@@ -174,7 +173,7 @@ def _is_prepared(d: Decomposition) -> bool:
     return (
         rotationless_power(d)[0] == 1
         and is_strictly_irreducible(d)
-        and limited_whitehead_graph(d) == turn_closure(d).turns
+        and d.limited_turns() == turn_closure(d).turns
     )
 
 
@@ -217,8 +216,7 @@ def realize_glued(
     certify the composite: admissibility of the seams, strict irreducibility
     of the square, coverage of every glued edge by a taken turn with periodic
     ends, Nielsen-path-freeness, and that the ideal Whitehead graph equals the
-    glued graph on the nose."""
-    _check_spec(spec)
+    glued graph on the nose.  The spec is checked by glue_graphs."""
     glued = glue_graphs(spec)
     r = spec.glued_rank
     failures: list[str] = []
@@ -380,7 +378,7 @@ def _result_from(
         structure=structure,
         pnp_certificate=cert,
         iw=iw,
-        iw_connected=len(connected_components(iw)) == 1,
+        iw_connected=is_connected(iw),
         iw_vertices=len(iw.vertices()),
         index_list=index_list(iw),
         cut_vertices=cut_vertices(iw),
@@ -405,8 +403,7 @@ def theorem_a_pipeline(
     and the (r-3)-fold iterated glue above it."""
     if r < 3:
         raise SpecError("the construction needs rank >= 3")
-    current = base_side()
-    right = base_side()
+    current = right = base_side()
     glue_certs: list[GlueCertificate] = []
     glued_labels: tuple[Direction, ...] = ()
     for target_rank in range(4, r + 1):

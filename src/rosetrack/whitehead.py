@@ -3,8 +3,8 @@
 The local Whitehead graph records every turn taken by any iterate image of an
 edge.  It is computed as a least fixed point: start from the turns taken by
 single-edge images and close under the turn map.  For train track maps this
-agrees with the iterate-based definition; for other maps the k=1 turns are
-included uniformly (see TurnClosure.includes_first_iterate).
+agrees with the iterate-based definition; for other maps the turns of the
+first iterate are included all the same.
 """
 
 from __future__ import annotations
@@ -34,10 +34,8 @@ class TurnClosure:
     but are never emitted as Whitehead-graph edges."""
 
     rank: int
-    base: object
     turns: frozenset[Turn]
     generations: tuple[tuple[Turn, int], ...]
-    includes_first_iterate: bool = True
 
     def generation_of(self, t: Turn) -> int:
         return dict(self.generations)[t]
@@ -67,12 +65,7 @@ def turn_closure(g) -> TurnClosure:
                 generations[image] = gen
                 nxt.add(image)
         frontier = nxt
-    return TurnClosure(
-        rank,
-        g,
-        frozenset(turns),
-        tuple(sorted(generations.items())),
-    )
+    return TurnClosure(rank, frozenset(turns), tuple(sorted(generations.items())))
 
 
 def local_whitehead_graph(g) -> ColoredPairLabeledGraph:
@@ -95,11 +88,6 @@ def stable_whitehead_graph(g) -> ColoredPairLabeledGraph:
     directions."""
     lw = local_whitehead_graph(g)
     return lw.induced(periodic_directions(g))
-
-
-def limited_whitehead_graph(seq) -> frozenset[Turn]:
-    """Turns taken by a single application of the (composite) map."""
-    return seq.limited_turns()
 
 
 def ideal_whitehead_graph(d: Decomposition, pnp_certificate) -> ColoredPairLabeledGraph:
@@ -126,11 +114,11 @@ def index_list(iw: ColoredPairLabeledGraph) -> tuple[Fraction, ...]:
     )
 
 
-def is_train_track(g, bound: int | None = None) -> bool:
+def is_train_track(g) -> bool:
     """No turn in the taken-turn closure is illegal, i.e. every iterate stays
     locally injective on edge interiors."""
     try:
         closure = turn_closure(g)
     except NotTrainTrack:
         return False
-    return not any(is_illegal(g, t, bound) for t in closure.turns)
+    return not any(is_illegal(g, t) for t in closure.turns)

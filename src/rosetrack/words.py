@@ -23,11 +23,6 @@ Turn = tuple[Direction, Direction]
 _LETTERS = "abcdefghijklmnopqrstuvwxyz"
 
 
-def bar(d: Direction) -> Direction:
-    """The reverse of a direction (an involution with no fixed point)."""
-    return -d
-
-
 def directions(rank: int) -> tuple[Direction, ...]:
     """All 2r directions in canonical order a, a-, b, b-, ..."""
     out = []
@@ -271,10 +266,6 @@ class GraphMap:
     def identity(cls, rank: int) -> "GraphMap":
         return cls(rank, tuple((i,) for i in range(1, rank + 1)))
 
-    @classmethod
-    def from_strings(cls, rank: int, *images: str) -> "GraphMap":
-        return cls(rank, tuple(parse_word(s, rank) for s in images))
-
     def image_of(self, d: Direction) -> Word:
         check_direction(d, self.rank)
         w = self.images[abs(d) - 1]
@@ -305,12 +296,6 @@ class GraphMap:
     def limited_turns(self) -> frozenset[Turn]:
         """Turns taken by the single-edge images."""
         return frozenset().union(*(taken_turns(w) for w in self.images))
-
-    def is_identity(self) -> bool:
-        return all(self.images[i - 1] == (i,) for i in range(1, self.rank + 1))
-
-    def __mul__(self, other: "GraphMap") -> "GraphMap":
-        return compose(self, other)
 
     def homotopy_equivalence_defect(self) -> int:
         """abs(det) - 1 of the abelianized transition matrix; 0 for a
@@ -351,25 +336,21 @@ def compose(outer: GraphMap, inner: GraphMap) -> GraphMap:
     return GraphMap(outer.rank, tuple(outer.apply(w) for w in inner.images))
 
 
-def is_illegal(g, t: Turn, p_max: int | None = None) -> bool:
+def is_illegal(g, t: Turn) -> bool:
     """Whether the two directions collide under some iterate of the direction
-    map.  Degenerate turns are illegal.  With p_max=None the orbit of the pair
-    is followed until it revisits a state, which is exact."""
+    map.  Degenerate turns are illegal.  The orbit of the pair is followed
+    until it revisits a state, which is exact."""
     dmap = g.direction_map()
     d1, d2 = t
     check_direction(d1, g.rank)
     check_direction(d2, g.rank)
     seen = set()
-    steps = 0
     while (d1, d2) not in seen:
         if d1 == d2:
             return True
         seen.add((d1, d2))
         d1, d2 = dmap[d1], dmap[d2]
-        steps += 1
-        if p_max is not None and steps > p_max:
-            break
-    return d1 == d2
+    return False
 
 
 def periodic_directions(g) -> frozenset[Direction]:
@@ -485,6 +466,8 @@ class Decomposition:
     origin: int = 0
 
     def __post_init__(self) -> None:
+        if self.rank < 1:
+            raise RankError(f"rank must be at least 1, got {self.rank}")
         for n in self.steps:
             if n.rank != self.rank:
                 raise RankError(f"generator {n} has rank {n.rank}, expected {self.rank}")

@@ -4,6 +4,7 @@ import random
 
 from rosetrack.catalog import rank3_base
 from rosetrack.errors import NotTrainTrack
+from rosetrack.graphs import connected_components
 from rosetrack.words import (
     Decomposition,
     NielsenGenerator,
@@ -96,3 +97,14 @@ def stepwise_limited_turns(d: Decomposition) -> frozenset:
             )
         turns = frozenset(n.map_turn(t) for t in turns) | {n.taken_turn()}
     return turns
+
+
+def brute_force_cut_vertices(g) -> frozenset:
+    """Delete-and-recount oracle; quadratic, used to cross-check cut_vertices."""
+    base = len(connected_components(g))
+    cuts = set()
+    for v in g.vertices():
+        h = g.induced(set(g.vertices()) - {v})
+        if len(connected_components(h)) > base:
+            cuts.add(v)
+    return frozenset(cuts)

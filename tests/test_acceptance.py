@@ -16,18 +16,13 @@ from rosetrack.diagrams import (
     loop_of_decomposition,
     loop_through,
 )
-from rosetrack.graphs import (
-    brute_force_cut_vertices,
-    cut_vertices,
-    is_connected,
-)
+from rosetrack.graphs import cut_vertices, is_connected
 from rosetrack.ltt import build_ltt, is_birecurrent, validate
 from rosetrack.nielsen import NONE_LEGALIZED, certify_pnp_free, search_inps
 from rosetrack.synthesis import theorem_a_pipeline
 from rosetrack.whitehead import (
     ideal_whitehead_graph,
     index_list,
-    limited_whitehead_graph,
     is_train_track,
 )
 from rosetrack.words import (
@@ -41,7 +36,7 @@ from rosetrack.words import (
     turn,
 )
 
-from helpers import random_admissible
+from helpers import brute_force_cut_vertices, random_admissible
 from test_graphs import random_pair_graph
 
 BASE = rank3_base()
@@ -194,7 +189,7 @@ def test_criterion_10_property_suites():
     for _ in range(100):
         rank = rng.choice([2, 3, 4])
         d = random_admissible(rng, rank, rng.randrange(1, 13))
-        assert limited_whitehead_graph(d) == d.as_map().limited_turns()
+        assert d.limited_turns() == d.as_map().limited_turns()
         g = d.as_map()
         for i in range(1, rank + 1):
             assert i in g.images[i - 1]

@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosetrack.cli import run
 from rosetrack.graphs import cut_vertices, ColoredPairLabeledGraph
@@ -177,6 +182,19 @@ def test_glue_verb(tmp_path, capsys):
     assert "rank: 4" in out
 
 
+def test_glue_inconclusive_search_exits_3(tmp_path, capsys):
+    """An input whose search runs out of bounds is undecided, as in pnp/iwg."""
+    code, out, _ = run_cli(capsys, "example", "lemma-3-6")
+    path = tmp_path / "l.json"
+    path.write_text(out)
+    bounds = ("--bounds.max-len", "1")
+    assert run_cli(capsys, "pnp", str(path), *bounds)[0] == 3
+    code, out, err = run_cli(capsys, "glue", str(path), str(path), *bounds)
+    assert code == 3, err
+    assert out == ""
+    assert "no certificate: search verdict inconclusive" in err
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "d.json"
     code, out, _ = run_cli(capsys, "example", "lemma-3-6", "--out", str(target))
@@ -212,7 +230,10 @@ MALFORMED_DOCS = [
 @pytest.mark.parametrize(
     "argv, doc",
     [([verb], doc) for verb in ("verify", "pnp", "iwg") for doc in MALFORMED_DOCS]
-    + [(["pipeline", "--rank", rank], None) for rank in ("2", "0", "-1")],
+    + [(["pipeline", "--rank", rank], None) for rank in ("2", "0", "-1")]
+    # appended after the pipeline cases so the earlier cases keep their ids
+    + [([verb], {"rank": rank, "generators": []})
+       for verb in ("verify", "pnp", "iwg") for rank in (0, -1)],
 )
 def test_malformed_input_is_usage_error(monkeypatch, capsys, argv, doc):
     import io
@@ -224,3 +245,42 @@ def test_malformed_input_is_usage_error(monkeypatch, capsys, argv, doc):
     assert code == 2, err
     assert "Traceback" not in err
     assert ("malformed decomposition" if doc is not None else "rank") in err
+
+
+# decomposition-shaped documents: ranks -2..4, short generator lists whose
+# letters are valid, out of range, not strings or missing, and wrong
+# top-level types
+_letters = st.one_of(
+    st.sampled_from(["a", "a-", "B", "b-", "c", "C", "d", "e-"]),
+    st.text(max_size=2),
+    st.integers(-3, 3),
+    st.none(),
+)
+_generator = st.one_of(
+    st.fixed_dictionaries({}, optional={"x": _letters, "y": _letters}),
+    st.integers(),
+    st.text(max_size=2),
+)
+_documents = st.one_of(
+    st.fixed_dictionaries(
+        {"rank": st.integers(-2, 4), "generators": st.lists(_generator, max_size=4)}
+    ),
+    st.none(),
+    st.integers(),
+    st.text(max_size=3),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(verb=st.sampled_from(["verify", "pnp", "iwg", "index", "ltt"]), doc=_documents)
+def test_fuzzed_documents_end_in_an_exit_code(verb, doc):
+    stdin, out, err = sys.stdin, io.StringIO(), io.StringIO()
+    sys.stdin = io.StringIO(json.dumps(doc))
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run([verb, "--bounds.max-passes", "1"])
+    finally:
+        sys.stdin = stdin
+    assert code in (0, 1, 2, 3), err.getvalue()
+    assert "Traceback" not in err.getvalue()

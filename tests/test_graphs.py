@@ -7,7 +7,6 @@ from rosetrack.graphs import (
     PURPLE,
     RED,
     ColoredPairLabeledGraph,
-    brute_force_cut_vertices,
     connected_components,
     cut_vertices,
     is_connected,
@@ -15,6 +14,8 @@ from rosetrack.graphs import (
     strongly_connected_components,
     to_dot,
 )
+
+from helpers import brute_force_cut_vertices
 
 
 def path_graph(labels, rank):

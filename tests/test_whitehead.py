@@ -10,7 +10,6 @@ from rosetrack.whitehead import (
     ideal_whitehead_graph,
     index_list,
     is_train_track,
-    limited_whitehead_graph,
     local_whitehead_graph,
     stable_whitehead_graph,
     turn_closure,
@@ -122,21 +121,21 @@ def test_stable_graph_of_composite_is_the_line():
 
 def test_limited_graph_of_single_generator():
     d = Decomposition(3, (NielsenGenerator(3, 2, -1),))
-    assert limited_whitehead_graph(d) == frozenset({turn(1, 2)})
+    assert d.limited_turns() == frozenset({turn(1, 2)})
 
 
 def test_limited_graph_recursion_matches_direct():
     g1 = NielsenGenerator.from_append(3, 1, -2)
     g2 = NielsenGenerator(3, 2, -1)
     d = Decomposition(3, (g1, g2))
-    assert limited_whitehead_graph(d) == d.as_map().limited_turns()
+    assert d.limited_turns() == d.as_map().limited_turns()
 
 
 def test_limited_graph_of_composite_matches_image_words():
     d = base_decomposition()
     g = d.as_map()
     direct = frozenset().union(*(taken_turns(w) for w in g.images))
-    assert limited_whitehead_graph(d) == direct
+    assert d.limited_turns() == direct
 
 
 def test_limited_recursion_on_random_admissible_corpus():
@@ -144,12 +143,12 @@ def test_limited_recursion_on_random_admissible_corpus():
     for _ in range(100):
         rank = rng.choice([2, 3, 4])
         d = random_admissible(rng, rank, rng.randrange(1, 13))
-        assert limited_whitehead_graph(d) == d.as_map().limited_turns()
+        assert d.limited_turns() == d.as_map().limited_turns()
 
 
 def test_limited_subset_of_local():
     d = base_decomposition()
-    assert limited_whitehead_graph(d) <= turn_closure(d).turns
+    assert d.limited_turns() <= turn_closure(d).turns
 
 
 # ---------------------------------------------------------------------------
