@@ -3,6 +3,9 @@
 Every verb is a thin wrapper over the library; no invariant logic lives here.
 Exit codes: 0 success / certificate granted, 1 checked failure or
 counterexample, 2 usage or I/O error, 3 inconclusive search.
+
+A process runs one verb, so each verb imports the modules it runs when it
+runs: a cold start compiles only those.
 """
 
 from __future__ import annotations
@@ -11,46 +14,19 @@ import argparse
 import json
 import sys
 
-from . import catalog
-from .errors import RosetrackError
-from .graphs import to_dot
-from .ltt import build_ltt
-from .nielsen import (
-    FOUND,
-    INCONCLUSIVE,
-    NONE_LEGALIZED,
-    is_legalizing_prevention_sequence,
-    search_inps,
-    trace_to_text,
-)
-from .synthesis import (
-    MAX_PREP_POWER,
-    GluingSpec,
-    normalize_achieved,
-    realize_glued,
-    smallest_power,
-    theorem_a_pipeline,
-)
-from .diagrams import build_id_diagram, diagram_to_dot, diagram_to_json
-from .whitehead import ideal_whitehead_graph, index_list, is_train_track
+from .errors import Inconclusive, RosetrackError
 from .words import (
+    MAX_PREP_POWER,
     Decomposition,
     format_direction,
     is_cyclically_admissible,
     is_expanding,
     is_irreducible,
     is_strictly_irreducible,
+    smallest_power,
 )
 
 OK, FAIL, USAGE, UNDECIDED = 0, 1, 2, 3
-
-
-class _Exit(Exception):
-    """Ends a verb early with an exit code; the message goes to stderr."""
-
-    def __init__(self, code: int, message: str):
-        super().__init__(message)
-        self.code = code
 
 
 def _read_decomposition(path: str | None) -> Decomposition:
@@ -76,6 +52,8 @@ def _write(args, text: str) -> None:
 
 
 def _emit_graph(args, graph) -> None:
+    from .graphs import to_dot
+
     if args.emit == "dot":
         _write(args, to_dot(graph))
     elif args.emit == "json":
@@ -88,32 +66,29 @@ def _emit_graph(args, graph) -> None:
 
 
 def _search(d: Decomposition, args):
+    from .nielsen import search_inps
+
     return search_inps(d, max_passes=args.max_passes, max_len=args.max_len)
-
-
-def _certificate(d: Decomposition, args):
-    """The Nielsen-path-freeness certificate of d; without one the verb exits
-    3 if the search was inconclusive and 1 otherwise."""
-    outcome = _search(d, args)
-    cert = outcome.certificate()
-    if cert is None:
-        code = UNDECIDED if outcome.verdict == INCONCLUSIVE else FAIL
-        raise _Exit(code, f"no certificate: search verdict {outcome.verdict}")
-    return cert
 
 
 def _certified(body):
     """A verb that runs body(args, d, cert) on the input decomposition and its
-    certificate."""
+    certificate; without one, run exits 3 if the search was inconclusive and
+    1 otherwise."""
 
     def cmd(args) -> int:
         d = _read_decomposition(args.input)
-        return body(args, d, _certificate(d, args))
+
+        from .nielsen import certify_pnp_free
+
+        return body(args, d, certify_pnp_free(d, args.max_passes, args.max_len))
 
     return cmd
 
 
 def cmd_example(args) -> int:
+    from . import catalog
+
     try:
         d = catalog.example(args.name)
     except KeyError as exc:
@@ -125,6 +100,10 @@ def cmd_example(args) -> int:
 
 def cmd_verify(args) -> int:
     d = _read_decomposition(args.input)
+
+    from .nielsen import INCONCLUSIVE, is_legalizing_prevention_sequence
+    from .whitehead import is_train_track
+
     checks: list[tuple[str, bool]] = []
     admissible = is_cyclically_admissible(d)
     checks.append(("cyclically admissible", admissible))
@@ -159,7 +138,11 @@ def cmd_verify(args) -> int:
 
 
 def cmd_pnp(args) -> int:
-    outcome = _search(_read_decomposition(args.input), args)
+    d = _read_decomposition(args.input)
+
+    from .nielsen import FOUND, NONE_LEGALIZED, trace_to_text
+
+    outcome = _search(d, args)
     _write(args, trace_to_text(outcome))
     if outcome.verdict == NONE_LEGALIZED:
         return OK
@@ -170,12 +153,16 @@ def cmd_pnp(args) -> int:
 
 @_certified
 def cmd_iwg(args, d, cert) -> int:
+    from .whitehead import ideal_whitehead_graph
+
     _emit_graph(args, ideal_whitehead_graph(d, cert))
     return OK
 
 
 @_certified
 def cmd_index(args, d, cert) -> int:
+    from .whitehead import ideal_whitehead_graph, index_list
+
     entries = index_list(ideal_whitehead_graph(d, cert))
     _write(args, "{" + ", ".join(str(e) for e in entries) + "}\n")
     return OK
@@ -183,12 +170,17 @@ def cmd_index(args, d, cert) -> int:
 
 @_certified
 def cmd_ltt(args, d, cert) -> int:
+    from .ltt import build_ltt
+
     _emit_graph(args, build_ltt(d, cert).as_graph())
     return OK
 
 
 @_certified
 def cmd_id_diagram(args, d, cert) -> int:
+    from .diagrams import build_id_diagram, diagram_to_dot, diagram_to_json
+    from .ltt import build_ltt
+
     diagram = build_id_diagram(build_ltt(d, cert), node_budget=args.budget)
     comp = diagram.seed_component()
     if args.emit == "dot":
@@ -210,12 +202,16 @@ def cmd_id_diagram(args, d, cert) -> int:
 def cmd_glue(args) -> int:
     left_d = _read_decomposition(args.left)
     right_d = _read_decomposition(args.right)
-    left = normalize_achieved(left_d, _certificate(left_d, args))
-    right = normalize_achieved(right_d, _certificate(right_d, args))
+
+    from .graphs import to_dot
+    from .nielsen import certify_pnp_free
+    from .synthesis import GluingSpec, normalize_achieved, realize_glued
+
+    bounds = {"max_passes": args.max_passes, "max_len": args.max_len}
+    left = normalize_achieved(left_d, certify_pnp_free(left_d, **bounds), **bounds)
+    right = normalize_achieved(right_d, certify_pnp_free(right_d, **bounds), **bounds)
     shared = tuple(int(tok) for tok in args.shared.split(","))
-    combined, cert = realize_glued(
-        GluingSpec(left, right, shared), max_passes=args.max_passes, max_len=args.max_len
-    )
+    combined, cert = realize_glued(GluingSpec(left, right, shared), **bounds)
     if args.emit == "dot":
         _write(args, to_dot(cert.glued_graph))
     elif args.emit == "json":
@@ -224,13 +220,19 @@ def cmd_glue(args) -> int:
         lines = [f"rank: {cert.rank}", f"certificate: {'granted' if cert.ok else 'refused'}"]
         lines += [f"failure: {f}" for f in cert.failures]
         _write(args, "\n".join(lines) + "\n")
-    return OK if cert.ok else FAIL
+    if cert.ok:
+        return OK
+    return UNDECIDED if cert.inconclusive else FAIL
 
 
 def cmd_pipeline(args) -> int:
     if args.rank < 3:
         sys.stderr.write("the construction needs --rank >= 3\n")
         return USAGE
+
+    from .graphs import to_dot
+    from .synthesis import theorem_a_pipeline
+
     res = theorem_a_pipeline(args.rank, max_passes=args.max_passes, max_len=args.max_len)
     if args.emit == "dot":
         _write(args, to_dot(res.iw))
@@ -268,6 +270,8 @@ def build_parser() -> argparse.ArgumentParser:
         if needs_input:
             p.add_argument("input", nargs="?", default=None,
                            help="decomposition file (default: stdin)")
+        # 3 is nielsen.DEFAULT_MAX_PASSES, copied so that parsing arguments
+        # imports no search code; tests/test_cli.py checks the copy
         p.add_argument("--bounds.max-passes", dest="max_passes", type=int, default=3)
         p.add_argument("--bounds.max-len", dest="max_len", type=int, default=None)
         p.add_argument("--emit", choices=["text", "dot", "json"], default="text")
@@ -318,9 +322,9 @@ def run(argv: list[str]) -> int:
         return USAGE if exc.code not in (0, None) else OK
     try:
         return args.func(args)
-    except _Exit as exc:
+    except Inconclusive as exc:
         sys.stderr.write(f"{exc}\n")
-        return exc.code
+        return UNDECIDED
     except RosetrackError as exc:
         sys.stderr.write(f"{exc}\n")
         return FAIL

@@ -24,3 +24,8 @@ class MissingCertificate(RosetrackError, ValueError):
 
 class SpecError(RosetrackError, ValueError):
     """A gluing specification violates its preconditions."""
+
+
+class Inconclusive(NotTrainTrack):
+    """A Nielsen path search ran out of its bounds before reaching a verdict,
+    so the certificate it was to issue is neither granted nor refused."""

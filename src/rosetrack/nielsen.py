@@ -15,10 +15,11 @@ or a recurrent state fails verification (inconclusive).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import NotTrainTrack
+from .errors import Inconclusive, NotTrainTrack
 from .whitehead import is_train_track
 from .words import (
     Decomposition,
@@ -210,7 +211,7 @@ def search_inps(
         seen={((first.x,), (first.y,), 0): 0},
     )
 
-    frontier: list[NpCandidate] = [root]
+    frontier: deque[NpCandidate] = deque([root])
     dead: list[BranchRecord] = []
     survivors: list[BranchRecord] = []
     max_steps = max_passes * n
@@ -230,7 +231,7 @@ def search_inps(
 
     found: FoundNp | None = None
     while frontier and found is None:
-        br = frontier.pop(0)
+        br = frontier.popleft()
         if br.step >= max_steps:
             survivors.append(_record(br, None, None, None, False))
             continue
@@ -368,11 +369,12 @@ def certify_pnp_free(
     max_len: int | None = None,
 ) -> PnpCertificate:
     """Run the search and return a certificate, or raise NotTrainTrack with
-    the offending verdict."""
+    the offending verdict (Inconclusive when the bounds ran out)."""
     outcome = search_inps(d, max_passes=max_passes, max_len=max_len)
     cert = outcome.certificate()
     if cert is None:
-        raise NotTrainTrack(f"no certificate: search verdict is {outcome.verdict}")
+        error = Inconclusive if outcome.verdict == INCONCLUSIVE else NotTrainTrack
+        raise error(f"no certificate: search verdict {outcome.verdict}")
     return cert
 
 

@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable
 
 from .catalog import rank3_base
-from .errors import SpecError
+from .errors import Inconclusive, SpecError
 from .graphs import ColoredPairLabeledGraph, PURPLE, cut_vertices, is_connected
 from .ltt import LttStructure, build_ltt
 from .nielsen import (
     DEFAULT_MAX_PASSES,
+    INCONCLUSIVE,
     PnpCertificate,
     certify_pnp_free,
     is_legalizing_prevention_sequence,
@@ -35,6 +35,7 @@ from .whitehead import (
     turn_closure,
 )
 from .words import (
+    MAX_PREP_POWER,
     Decomposition,
     Direction,
     directions,
@@ -45,10 +46,9 @@ from .words import (
     mat_mul,
     periodic_directions,
     rotationless_power,
+    smallest_power,
     turn,
 )
-
-MAX_PREP_POWER = 12
 
 
 def pair_permutation(mapping: dict[int, int], rank: int) -> dict[Direction, Direction]:
@@ -86,10 +86,15 @@ class GluingSpec:
         return self.left.rank + self.right.rank - len(self.shared)
 
 
-def normalize_achieved(d: Decomposition, cert: PnpCertificate) -> GluedSide:
+def normalize_achieved(
+    d: Decomposition,
+    cert: PnpCertificate,
+    max_passes: int = DEFAULT_MAX_PASSES,
+    max_len: int | None = None,
+) -> GluedSide:
     """Relabel an achieved decomposition so its structure's red edge is
     [X_1, X_2] with the red vertex at X_1, re-certifying the relabeled
-    sequence."""
+    sequence within the given search bounds."""
     s = build_ltt(d, cert)
     red = s.red_vertex
     other = s.red_edge[0] if s.red_edge[1] == red else s.red_edge[1]
@@ -103,7 +108,7 @@ def normalize_achieved(d: Decomposition, cert: PnpCertificate) -> GluedSide:
             nxt += 1
     perm = pair_permutation(mapping, d.rank)
     nd = d.relabeled(perm)
-    ncert = certify_pnp_free(nd)
+    ncert = certify_pnp_free(nd, max_passes=max_passes, max_len=max_len)
     return GluedSide(nd, build_ltt(nd, ncert), ncert)
 
 
@@ -159,14 +164,6 @@ def glue_graphs(spec: GluingSpec) -> ColoredPairLabeledGraph:
     )
 
 
-def smallest_power(d: Decomposition, test: Callable[[Decomposition], bool]) -> int | None:
-    """The smallest p <= MAX_PREP_POWER with test(d.powered(p)), or None."""
-    for p in range(1, MAX_PREP_POWER + 1):
-        if test(d.powered(p)):
-            return p
-    return None
-
-
 def _is_prepared(d: Decomposition) -> bool:
     """Rotationless, strictly irreducible, and with its limited Whitehead
     graph already the full local one."""
@@ -202,9 +199,15 @@ class GlueCertificate:
     expanding: bool
     irreducible: bool
     sandwich_expanding_irreducible: bool
+    search_verdict: str | None  # None when the search did not run
     pnp_certificate: PnpCertificate | None
     iw_matches_glued_graph: bool
     structure: LttStructure | None
+
+    @property
+    def inconclusive(self) -> bool:
+        """Only a Nielsen path search that ran out of its bounds refused it."""
+        return self.search_verdict == INCONCLUSIVE and len(self.failures) == 1
 
 
 def realize_glued(
@@ -266,9 +269,10 @@ def realize_glued(
     if not sandwich_ok:
         failures.append("h o g o h is not expanding irreducible")
 
-    pnp_cert = None
+    pnp_cert = search_verdict = None
     if train_track and admissible:
         outcome = search_inps(combined, max_passes=max_passes, max_len=max_len)
+        search_verdict = outcome.verdict
         pnp_cert = outcome.certificate()
         if pnp_cert is None:
             failures.append(f"Nielsen path search verdict: {outcome.verdict}")
@@ -304,6 +308,7 @@ def realize_glued(
         expanding,
         irreducible,
         sandwich_ok,
+        search_verdict,
         pnp_cert,
         iw_matches,
         structure,
@@ -355,12 +360,13 @@ class PipelineResult:
         )
 
 
-def base_side() -> GluedSide:
+def base_side(max_passes: int = DEFAULT_MAX_PASSES, max_len: int | None = None) -> GluedSide:
     """The normalized rank-3 seed: the worked nine-generator sequence,
-    squared (its square is the legalizing prevention sequence)."""
+    squared (its square is the legalizing prevention sequence), certified
+    within the given search bounds."""
     base = rank3_base()
-    cert = certify_pnp_free(base)
-    return normalize_achieved(base.powered(2), cert)
+    cert = certify_pnp_free(base, max_passes=max_passes, max_len=max_len)
+    return normalize_achieved(base.powered(2), cert, max_passes=max_passes, max_len=max_len)
 
 
 def _result_from(
@@ -369,9 +375,10 @@ def _result_from(
     structure: LttStructure,
     glued_labels: tuple[Direction, ...],
     glue_certs: tuple[GlueCertificate, ...],
+    max_len: int | None,
 ) -> PipelineResult:
     iw = ideal_whitehead_graph(side_d, cert)
-    prevention, _ = is_legalizing_prevention_sequence(side_d)
+    prevention, _ = is_legalizing_prevention_sequence(side_d, bound=max_len)
     return PipelineResult(
         rank=side_d.rank,
         decomposition=side_d,
@@ -400,10 +407,12 @@ def theorem_a_pipeline(
 ) -> PipelineResult:
     """For every rank r >= 3, an automorphism whose ideal Whitehead graph is
     connected with 2r-1 vertices and a cut vertex: the rank-3 seed for r = 3
-    and the (r-3)-fold iterated glue above it."""
+    and the (r-3)-fold iterated glue above it.  Every Nielsen path search
+    runs within the given bounds; a glue refused only because its search ran
+    out of them raises Inconclusive."""
     if r < 3:
         raise SpecError("the construction needs rank >= 3")
-    current = right = base_side()
+    current = right = base_side(max_passes, max_len)
     glue_certs: list[GlueCertificate] = []
     glued_labels: tuple[Direction, ...] = ()
     for target_rank in range(4, r + 1):
@@ -411,7 +420,8 @@ def theorem_a_pipeline(
         combined, cert = realize_glued(spec, max_passes=max_passes, max_len=max_len)
         glue_certs.append(cert)
         if not cert.ok:
-            raise SpecError(f"glue to rank {target_rank} failed: {cert.failures}")
+            error = Inconclusive if cert.inconclusive else SpecError
+            raise error(f"glue to rank {target_rank} failed: {cert.failures}")
         glued_labels = cert.glued_labels
         current = GluedSide(combined, cert.structure, cert.pnp_certificate)
     return _result_from(
@@ -420,4 +430,5 @@ def theorem_a_pipeline(
         current.structure,
         glued_labels,
         tuple(glue_certs),
+        max_len,
     )

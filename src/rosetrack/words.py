@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import InvalidLetter, NotTrainTrack, RankError
 
@@ -603,6 +603,17 @@ class Decomposition:
         rank = int(data["rank"])
         steps = tuple(NielsenGenerator.from_json(g, rank) for g in data["generators"])
         return cls(rank, steps, int(data.get("origin", 0)))
+
+
+MAX_PREP_POWER = 12
+
+
+def smallest_power(d: Decomposition, test: Callable[[Decomposition], bool]) -> int | None:
+    """The smallest p <= MAX_PREP_POWER with test(d.powered(p)), or None."""
+    for p in range(1, MAX_PREP_POWER + 1):
+        if test(d.powered(p)):
+            return p
+    return None
 
 
 def is_cyclically_admissible(d: Decomposition) -> bool:

@@ -195,6 +195,48 @@ def test_glue_inconclusive_search_exits_3(tmp_path, capsys):
     assert "no certificate: search verdict inconclusive" in err
 
 
+@pytest.mark.parametrize(
+    "rank, bound",
+    [("4", ("--bounds.max-len", "1")),
+     ("3", ("--bounds.max-len", "1")),
+     ("3", ("--bounds.max-passes", "1"))],
+)
+def test_pipeline_inconclusive_search_exits_3(capsys, rank, bound):
+    """Every search of the pipeline runs within the given bounds, and one
+    that runs out of them leaves the construction undecided, as in pnp."""
+    code, out, err = run_cli(capsys, "pipeline", "--rank", rank, *bound)
+    assert code == 3, err
+    assert out == ""
+    assert "inconclusive" in err
+
+
+def test_glue_exits_3_when_only_the_glued_search_is_inconclusive(monkeypatch, tmp_path, capsys):
+    import rosetrack.synthesis as synthesis
+
+    realize = synthesis.realize_glued
+    monkeypatch.setattr(synthesis, "realize_glued",
+                        lambda spec, **bounds: realize(spec, max_len=1))
+    code, out, _ = run_cli(capsys, "example", "lemma-3-6-squared")
+    path = tmp_path / "l.json"
+    path.write_text(out)
+    code, out, err = run_cli(capsys, "glue", str(path), str(path))
+    assert code == 3, err
+    assert out == ("rank: 4\ncertificate: refused\n"
+                   "failure: Nielsen path search verdict: inconclusive\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [[verb] for verb in ("verify", "pnp", "iwg", "index", "ltt", "id-diagram")]
+    + [["glue", "l.json", "r.json"], ["pipeline", "--rank", "3"]],
+)
+def test_parsed_default_max_passes_is_the_search_default(argv):
+    from rosetrack.cli import build_parser
+    from rosetrack.nielsen import DEFAULT_MAX_PASSES
+
+    assert build_parser().parse_args(argv).max_passes == DEFAULT_MAX_PASSES
+
+
 def test_out_file(tmp_path, capsys):
     target = tmp_path / "d.json"
     code, out, _ = run_cli(capsys, "example", "lemma-3-6", "--out", str(target))

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from rosetrack.errors import SpecError
+from rosetrack.errors import Inconclusive, SpecError
 from rosetrack.graphs import cut_vertices, is_connected, is_isomorphic
 from rosetrack.ltt import build_ltt
 from rosetrack.nielsen import certify_pnp_free
@@ -207,6 +207,32 @@ def test_pipeline_rank_arithmetic():
 def test_pipeline_rejects_low_rank():
     with pytest.raises(SpecError):
         theorem_a_pipeline(2)
+
+
+def test_glue_refused_only_by_its_bounds_is_inconclusive():
+    _, cert = realize_glued(two_sides(), max_len=1)
+    assert not cert.ok
+    assert cert.search_verdict == "inconclusive"
+    assert cert.failures == ("Nielsen path search verdict: inconclusive",)
+    assert cert.inconclusive
+    _, cert = realize_glued(two_sides())
+    assert cert.search_verdict == "none_legalized"
+    assert cert.ok and not cert.inconclusive
+
+
+@pytest.mark.parametrize("bounds", [{"max_len": 1}, {"max_passes": 1}])
+def test_pipeline_certifies_its_seed_within_the_bounds(bounds):
+    with pytest.raises(Inconclusive):
+        theorem_a_pipeline(3, **bounds)
+
+
+def test_pipeline_glue_refused_only_by_its_bounds_raises_inconclusive(monkeypatch):
+    import rosetrack.synthesis as synthesis
+
+    seed = base_side()
+    monkeypatch.setattr(synthesis, "base_side", lambda *bounds: seed)
+    with pytest.raises(Inconclusive, match="glue to rank 4 failed"):
+        theorem_a_pipeline(4, max_len=1)
 
 
 def test_full_overlap_realize_certifies_same_rank():
