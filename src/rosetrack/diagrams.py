@@ -341,7 +341,7 @@ def loop_through(
 def loop_of_decomposition(d: Decomposition, pnp_certificate) -> tuple[GeneratingTriple, ...]:
     """The diagram loop realizing an ideal decomposition: structure k is the
     ltt structure of the rotation based at the k-th rose."""
-    structures = [build_ltt(d.rotated(k % len(d.steps)), pnp_certificate) for k in range(len(d.steps) + 1)]
+    structures = [build_ltt(d.rotated(k), pnp_certificate) for k in range(len(d.steps))]
     out = []
     for k, gen in enumerate(d.steps, start=1):
         target = structures[k % len(d.steps)]

@@ -96,14 +96,6 @@ class ColoredPairLabeledGraph:
             [e for e in self.edges if e[0] in keep and e[1] in keep],
         )
 
-    def without_edges(self, drop: Iterable[tuple[Direction, Direction, str]]) -> "ColoredPairLabeledGraph":
-        dropped = {_canon_edge(*e) for e in drop}
-        return ColoredPairLabeledGraph.build(
-            self.rank,
-            dict(self.vertex_colors),
-            [e for e in self.edges if e not in dropped],
-        )
-
     def relabeled(self, perm: Mapping[Direction, Direction]) -> "ColoredPairLabeledGraph":
         """Apply an edge-pair-respecting relabeling (perm[-v] must be -perm[v])."""
         for v in perm:

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import MissingCertificate, NotTrainTrack, RankError
+from .errors import NotTrainTrack, RankError
 from .graphs import (
     BLACK,
     PURPLE,
@@ -22,19 +22,11 @@ from .graphs import (
     ColoredPairLabeledGraph,
     strongly_connected_components,
 )
-from .whitehead import is_train_track, stable_whitehead_graph
-from .words import (
-    Decomposition,
-    Direction,
-    Turn,
-    directions,
-    rotationless_power,
-    turn,
-)
+from .whitehead import ideal_whitehead_graph
+from .words import Decomposition, Direction, Turn, directions, turn
 
 AXIOM_VALENCE = "I"
 AXIOM_NO_LOOPS = "II"
-AXIOM_VERTEX_COLORS = "III"
 AXIOM_EDGE_TYPES = "IV"
 AXIOM_NO_PARALLEL = "V"
 AXIOM_UNIQUE_RED = "VI"
@@ -54,7 +46,15 @@ class LttStructure:
     purple_edges: frozenset[Turn]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "purple_edges", frozenset(self.purple_edges))
+        object.__setattr__(self, "red_edge", turn(*self.red_edge))
+        # rebuild the edge set only when it is not canonical: the diagram
+        # moves and the enumeration hand one frozenset to many structures,
+        # and a copy per structure raised a diagrams benchmark pass's peak
+        # memory by about 4 MB
+        purple = frozenset(self.purple_edges)
+        if any(t[0] > t[1] for t in purple):
+            purple = frozenset(turn(*t) for t in purple)
+        object.__setattr__(self, "purple_edges", purple)
 
     def purple_vertices(self) -> tuple[Direction, ...]:
         return tuple(d for d in directions(self.rank) if d != self.red_vertex)
@@ -75,21 +75,24 @@ class LttStructure:
             [(t[0], t[1], PURPLE) for t in self.purple_edges],
         )
 
-    def colored_graph(self) -> ColoredPairLabeledGraph:
-        """The colored subgraph C(G): purple part plus red vertex and edge."""
+    def _vertex_colors(self) -> dict[Direction, str]:
         vertices = {v: PURPLE for v in self.purple_vertices()}
         vertices[self.red_vertex] = RED
+        return vertices
+
+    def _colored_edges(self) -> list[tuple[Direction, Direction, str]]:
         edges = [(t[0], t[1], PURPLE) for t in self.purple_edges]
         edges.append((self.red_edge[0], self.red_edge[1], RED))
-        return ColoredPairLabeledGraph.build(self.rank, vertices, edges)
+        return edges
+
+    def colored_graph(self) -> ColoredPairLabeledGraph:
+        """The colored subgraph C(G): purple part plus red vertex and edge."""
+        return ColoredPairLabeledGraph.build(self.rank, self._vertex_colors(), self._colored_edges())
 
     def as_graph(self) -> ColoredPairLabeledGraph:
         """The full structure with black edges included."""
-        g = self.colored_graph()
-        edges = list(g.edges)
-        for t in self.black_edges():
-            edges.append((t[0], t[1], BLACK))
-        return ColoredPairLabeledGraph.build(self.rank, dict(g.vertex_colors), edges)
+        edges = self._colored_edges() + [(t[0], t[1], BLACK) for t in self.black_edges()]
+        return ColoredPairLabeledGraph.build(self.rank, self._vertex_colors(), edges)
 
     def relabeled(self, perm: Mapping[Direction, Direction]) -> "LttStructure":
         full = {}
@@ -120,65 +123,53 @@ class LttStructure:
     @classmethod
     def from_graph(cls, g: ColoredPairLabeledGraph) -> "LttStructure":
         """Rebuild a structure from an assembled graph (the round trip for
-        the serialized form); the graph must satisfy the ltt axioms."""
-        problems = validate_ltt(g)
+        the serialized form); the graph must be a valid structure's as_graph()."""
+        red_vertices = [v for v, c in g.vertex_colors if c == RED]
+        red_edges = [(u, v) for u, v, c in g.edges if c == RED]
+        if len(red_vertices) != 1 or len(red_edges) != 1:
+            raise ValueError(f"graph violates ltt axioms {[AXIOM_UNIQUE_RED]}")
+        s = cls(
+            g.rank,
+            red_vertices[0],
+            red_edges[0],
+            frozenset((u, v) for u, v, c in g.edges if c == PURPLE),
+        )
+        problems = validate(s)
         if problems:
             raise ValueError(f"graph violates ltt axioms {problems}")
-        red_vertex = next(v for v, c in g.vertex_colors if c == RED)
-        red_edge = next(turn(u, v) for u, v, c in g.edges if c == RED)
-        purple = frozenset(turn(u, v) for u, v, c in g.edges if c == PURPLE)
-        return cls(g.rank, red_vertex, red_edge, purple)
-
-
-def validate_ltt(g: ColoredPairLabeledGraph) -> list[str]:
-    """Check the abstract ltt axioms on an assembled colored graph; returns
-    the roman numerals of the violated axioms (empty means valid)."""
-    violations: list[str] = []
-    verts = g.vertices()
-    rank = g.rank
-
-    if any(g.degree(v) < 2 for v in verts) or len(verts) < 2 * rank:
-        violations.append(AXIOM_VALENCE)
-    if any(u == v for u, v, _ in g.edges):
-        violations.append(AXIOM_NO_LOOPS)
-    # axiom III (vertices purple or red) is enforced by the graph type itself
-
-    black = {(u, v) for u, v, c in g.edges if c == BLACK}
-    expected_black = {turn(i, -i) for i in range(1, rank + 1)}
-    red_vertices = {v for v, c in g.vertex_colors if c == RED}
-    type_ok = black == expected_black
-    for u, v, c in g.edges:
-        if c == BLACK:
-            continue
-        touches_red = u in red_vertices or v in red_vertices
-        if c == RED and not touches_red:
-            type_ok = False
-        if c == PURPLE and touches_red:
-            type_ok = False
-    if not type_ok:
-        violations.append(AXIOM_EDGE_TYPES)
-
-    colored_pairs = [(u, v) for u, v, c in g.edges if c != BLACK]
-    if len(colored_pairs) != len(set(colored_pairs)):
-        violations.append(AXIOM_NO_PARALLEL)
-
-    purple_count = sum(1 for _, c in g.vertex_colors if c == PURPLE)
-    red_edges = [(u, v) for u, v, c in g.edges if c == RED]
-    if purple_count != 2 * rank - 1 or len(red_vertices) != 1 or len(red_edges) != 1:
-        violations.append(AXIOM_UNIQUE_RED)
-
-    return violations
+        if s.as_graph() != g:
+            raise ValueError("graph is not an assembled ltt structure")
+        return s
 
 
 def validate(s: LttStructure) -> list[str]:
-    return validate_ltt(s.as_graph())
+    """The roman numerals of the ltt axioms the structure violates (empty
+    means valid).  Axioms III and VI, and the black-edge half of IV, hold by
+    construction: every direction is a vertex, the red vertex is the only red
+    one, and the black edges are the rank's edge pairs."""
+    labels = set(directions(s.rank))
+    colored = (s.red_edge, *s.purple_edges)
+    met = {v for t in colored for v in t}
+    outside = ({s.red_vertex} | met) - labels
+    if outside:
+        raise ValueError(f"labels {sorted(outside)} out of range for rank {s.rank}")
+    violations: list[str] = []
+    if met != labels:
+        violations.append(AXIOM_VALENCE)
+    if any(t[0] == t[1] for t in colored):
+        violations.append(AXIOM_NO_LOOPS)
+    if s.red_vertex not in s.red_edge or any(s.red_vertex in t for t in s.purple_edges):
+        violations.append(AXIOM_EDGE_TYPES)
+    if s.red_edge in s.purple_edges:
+        violations.append(AXIOM_NO_PARALLEL)
+    return violations
 
 
-def smooth_dart_graph(g: ColoredPairLabeledGraph) -> tuple[list, dict]:
+def smooth_dart_graph(edges: list[tuple[Direction, Direction, str]]) -> tuple[list, dict]:
     """Darts (u, v, color) for each traversal of each edge; a dart into v may
     continue along any edge at v of the opposite class (black vs colored)."""
     darts = []
-    for u, v, c in g.edges:
+    for u, v, c in edges:
         darts.append((u, v, c))
         darts.append((v, u, c))
     at: dict[Direction, list[tuple]] = {}
@@ -208,17 +199,14 @@ def is_birecurrent(s: LttStructure, ignore_isolated_pairs: bool = False) -> bool
     With ignore_isolated_pairs, black edges on pairs carrying no colored edge
     (as produced by rank extension) are exempted.
     """
-    g = s.as_graph()
-    if ignore_isolated_pairs:
-        touched = set()
-        for u, v, c in g.edges:
-            if c != BLACK:
-                touched.update((abs(u), abs(v)))
-        g = g.without_edges(
-            [(i, -i, BLACK) for i in range(1, g.rank + 1) if i not in touched]
-        )
-        g = g.induced([v for v in g.vertices() if g.degree(v) > 0])
-    darts, succ = smooth_dart_graph(g)
+    edges = s._colored_edges()
+    touched = {abs(v) for u, w, _ in edges for v in (u, w)}
+    edges += [
+        (t[0], t[1], BLACK)
+        for t in s.black_edges()
+        if not ignore_isolated_pairs or abs(t[0]) in touched
+    ]
+    darts, succ = smooth_dart_graph(edges)
     if not darts:
         return False
     all_edges = {_canon(d) for d in darts}
@@ -235,36 +223,27 @@ def _canon(dart) -> tuple:
 
 def build_ltt(d: Decomposition, pnp_certificate) -> LttStructure:
     """The ltt structure of a Nielsen-path-free train track composite: its
-    stable Whitehead graph in purple, the unique nonperiodic direction as the
+    ideal Whitehead graph in purple, the unique nonperiodic direction as the
     red vertex, and the red edge [d_u, bar(d_a)] read off the final generator.
     """
-    if pnp_certificate is None or not getattr(pnp_certificate, "pnp_free", False):
-        raise MissingCertificate("an explicit Nielsen-path-freeness certificate is required")
-    if not pnp_certificate.matches(d):
-        raise MissingCertificate("certificate was issued for a different decomposition")
-    if not d.steps:
-        raise NotTrainTrack("an empty decomposition has no ltt structure")
-    if not is_train_track(d):
-        raise NotTrainTrack("the composite takes an illegal turn")
-    exponent, cert = rotationless_power(d)
-    power = d.powered(exponent)
-    if len(cert.nonperiodic) != 1:
+    iw = ideal_whitehead_graph(d, pnp_certificate)
+    periodic = set(iw.vertices())
+    nonperiodic = tuple(v for v in directions(d.rank) if v not in periodic)
+    if len(nonperiodic) != 1:
         raise NotTrainTrack(
-            f"expected a unique nonperiodic direction, found {cert.nonperiodic}"
+            f"expected a unique nonperiodic direction, found {nonperiodic}"
         )
-    red_vertex = cert.nonperiodic[0]
+    red_vertex = nonperiodic[0]
     final = d.steps[-1]
     if final.missing_direction != red_vertex:
         raise NotTrainTrack(
             "final generator does not move the nonperiodic direction"
         )
-    red_edge = turn(final.missing_direction, -final.doubled_direction)
-    sw = stable_whitehead_graph(power)
     structure = LttStructure(
         d.rank,
         red_vertex,
-        red_edge,
-        frozenset(turn(u, v) for u, v, _ in sw.edges),
+        turn(final.missing_direction, -final.doubled_direction),
+        frozenset((u, v) for u, v, _ in iw.edges),
     )
     problems = validate(structure)
     if problems:

@@ -183,20 +183,21 @@ def search_inps(
     if max_len is None:
         max_len = 4 * d.total_image_length()
 
-    flat = steps * max_passes
-
     def prefix_image(e: Direction, upto: int) -> Word:
         w: Word = (e,)
-        for g in flat[:upto]:
-            w = g.apply(w)
+        for i in range(upto):
+            w = steps[i % n].apply(w)
         return w
 
-    # the composite direction map after each prefix, for extension choices
-    prefix_dmap = [
-        {v: v for v in directions(d.rank)}
-    ]
-    for g in flat:
-        prefix_dmap.append({v: g.map_direction(w) for v, w in prefix_dmap[-1].items()})
+    # the composite direction map after each prefix, for extension choices,
+    # extended only as far as the search reaches
+    prefix_dmaps = [{v: v for v in directions(d.rank)}]
+
+    def prefix_dmap(upto: int) -> dict[Direction, Direction]:
+        while len(prefix_dmaps) <= upto:
+            g = steps[(len(prefix_dmaps) - 1) % n]
+            prefix_dmaps.append({v: g.map_direction(w) for v, w in prefix_dmaps[-1].items()})
+        return prefix_dmaps[upto]
 
     rotations = {k: work.rotated(k) for k in range(n)}
 
@@ -263,7 +264,7 @@ def search_inps(
             # the no-paths verdict, but not the verified legal-turn scenario
             dead.append(_record(br, s + 1, None, "no_extension", False))
             continue
-        dmap = prefix_dmap[s]
+        dmap = prefix_dmap(s)
         candidates = _direction_order(
             e for e in directions(d.rank) if dmap[e] == required
         )

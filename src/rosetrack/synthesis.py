@@ -377,7 +377,7 @@ def _result_from(
     glue_certs: tuple[GlueCertificate, ...],
     max_len: int | None,
 ) -> PipelineResult:
-    iw = ideal_whitehead_graph(side_d, cert)
+    iw = structure.purple_graph()
     prevention, _ = is_legalizing_prevention_sequence(side_d, bound=max_len)
     return PipelineResult(
         rank=side_d.rank,

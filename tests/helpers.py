@@ -4,7 +4,15 @@ import random
 
 from rosetrack.catalog import rank3_base
 from rosetrack.errors import NotTrainTrack
-from rosetrack.graphs import connected_components
+from rosetrack.graphs import (
+    BLACK,
+    RED,
+    PURPLE,
+    ColoredPairLabeledGraph,
+    connected_components,
+    strongly_connected_components,
+)
+from rosetrack.ltt import smooth_dart_graph
 from rosetrack.words import (
     Decomposition,
     NielsenGenerator,
@@ -12,6 +20,7 @@ from rosetrack.words import (
     directions,
     identity_matrix,
     mat_mul,
+    turn,
 )
 
 
@@ -108,3 +117,84 @@ def brute_force_cut_vertices(g) -> frozenset:
         if len(connected_components(h)) > base:
             cuts.add(v)
     return frozenset(cuts)
+
+
+# ---------------------------------------------------------------------------
+# graph-assembling oracles for the ltt axioms and birecurrence
+
+
+def assembled_graph(s) -> ColoredPairLabeledGraph:
+    """The structure's graph built in two steps: the colored subgraph, then
+    the same graph again with the black edges added."""
+    g = s.colored_graph()
+    edges = list(g.edges) + [(t[0], t[1], BLACK) for t in s.black_edges()]
+    return ColoredPairLabeledGraph.build(s.rank, dict(g.vertex_colors), edges)
+
+
+def graph_validate_ltt(g: ColoredPairLabeledGraph) -> list[str]:
+    """The ltt axioms checked on an assembled colored graph; returns the
+    roman numerals of the violated axioms (empty means valid)."""
+    violations: list[str] = []
+    verts = g.vertices()
+    rank = g.rank
+
+    if any(g.degree(v) < 2 for v in verts) or len(verts) < 2 * rank:
+        violations.append("I")
+    if any(u == v for u, v, _ in g.edges):
+        violations.append("II")
+
+    black = {(u, v) for u, v, c in g.edges if c == BLACK}
+    expected_black = {turn(i, -i) for i in range(1, rank + 1)}
+    red_vertices = {v for v, c in g.vertex_colors if c == RED}
+    type_ok = black == expected_black
+    for u, v, c in g.edges:
+        if c == BLACK:
+            continue
+        touches_red = u in red_vertices or v in red_vertices
+        if c == RED and not touches_red:
+            type_ok = False
+        if c == PURPLE and touches_red:
+            type_ok = False
+    if not type_ok:
+        violations.append("IV")
+
+    colored_pairs = [(u, v) for u, v, c in g.edges if c != BLACK]
+    if len(colored_pairs) != len(set(colored_pairs)):
+        violations.append("V")
+
+    purple_count = sum(1 for _, c in g.vertex_colors if c == PURPLE)
+    red_edges = [(u, v) for u, v, c in g.edges if c == RED]
+    if purple_count != 2 * rank - 1 or len(red_vertices) != 1 or len(red_edges) != 1:
+        violations.append("VI")
+
+    return violations
+
+
+def graph_is_birecurrent(s, ignore_isolated_pairs: bool = False) -> bool:
+    """Birecurrence by graph surgery: assemble the structure, drop the black
+    edges of pairs with no colored edge, keep the vertices that still meet
+    an edge, and look for a dart component covering every edge."""
+    g = assembled_graph(s)
+    if ignore_isolated_pairs:
+        touched = set()
+        for u, v, c in g.edges:
+            if c != BLACK:
+                touched.update((abs(u), abs(v)))
+        dropped = {turn(i, -i) + (BLACK,) for i in range(1, g.rank + 1) if i not in touched}
+        g = ColoredPairLabeledGraph.build(
+            g.rank, dict(g.vertex_colors), [e for e in g.edges if e not in dropped]
+        )
+        g = g.induced([v for v in g.vertices() if g.degree(v) > 0])
+    darts, succ = smooth_dart_graph(list(g.edges))
+    if not darts:
+        return False
+
+    def canon(dart):
+        u, v, c = dart
+        return (u, v, c) if u <= v else (v, u, c)
+
+    all_edges = {canon(d) for d in darts}
+    return any(
+        len(scc) >= 2 and {canon(d) for d in scc} == all_edges
+        for scc in strongly_connected_components(darts, lambda d: succ[d])
+    )

@@ -1,19 +1,22 @@
+from itertools import permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rosetrack.errors import MissingCertificate, NotTrainTrack
 from rosetrack.graphs import BLACK, PURPLE, RED, ColoredPairLabeledGraph, is_isomorphic
-from rosetrack.ltt import (
-    LttStructure,
-    build_ltt,
-    is_birecurrent,
-    validate,
-    validate_ltt,
-)
-from rosetrack.nielsen import certify_pnp_free
+from rosetrack.ltt import LttStructure, build_ltt, is_birecurrent, validate
+from rosetrack.nielsen import PnpCertificate, certify_pnp_free
 from rosetrack.whitehead import stable_whitehead_graph
-from rosetrack.words import Decomposition, NielsenGenerator, turn
+from rosetrack.words import Decomposition, NielsenGenerator, directions, turn
 
-from helpers import base_decomposition
+from helpers import (
+    assembled_graph,
+    base_decomposition,
+    graph_is_birecurrent,
+    graph_validate_ltt,
+)
 
 
 def base_cert():
@@ -56,6 +59,24 @@ def test_build_ltt_requires_certificate():
         build_ltt(base_decomposition(), None)
 
 
+def test_build_ltt_requires_a_pnp_free_certificate():
+    d = base_decomposition()
+    cert = base_cert()
+    refuted = PnpCertificate(cert.rank, cert.cyclic_root, cert.passes_searched, cert.max_len, False)
+    with pytest.raises(MissingCertificate, match="does not assert"):
+        build_ltt(d, refuted)
+    with pytest.raises(MissingCertificate, match="different decomposition"):
+        build_ltt(d.extended(4), cert)
+
+
+def test_build_ltt_rejects_empty_decomposition():
+    d = Decomposition(3, ())
+    cert = PnpCertificate(3, (), 1, 1)
+    assert cert.matches(d)
+    with pytest.raises(NotTrainTrack, match="unique nonperiodic direction"):
+        build_ltt(d, cert)
+
+
 def test_build_ltt_rejects_non_train_track():
     d = Decomposition(2, (NielsenGenerator(2, 1, 2), NielsenGenerator(2, 1, -2)))
     cert = base_cert()
@@ -72,6 +93,7 @@ def test_built_structure_is_valid():
 
 
 def test_two_red_edges_violate_axiom_vi():
+    # only an assembled graph can carry a second red edge
     s = built_structure()
     g = s.as_graph()
     bad = ColoredPairLabeledGraph.build(
@@ -79,34 +101,78 @@ def test_two_red_edges_violate_axiom_vi():
         dict(g.vertex_colors),
         list(g.edges) + [(2, -3, RED)],
     )
-    assert "VI" in validate_ltt(bad)
+    with pytest.raises(ValueError, match="VI"):
+        LttStructure.from_graph(bad)
 
 
 def test_isolated_purple_vertex_violates_axiom_i():
     s = built_structure()
-    g = s.as_graph()
     # drop every colored edge at c-, leaving it only its black edge
-    bad = g.without_edges([e for e in g.edges if -3 in e[:2] and e[2] != BLACK])
-    assert "I" in validate_ltt(bad)
+    assert -3 not in s.red_edge
+    bad = LttStructure(
+        s.rank, s.red_vertex, s.red_edge, frozenset(t for t in s.purple_edges if -3 not in t)
+    )
+    assert "I" in validate(bad)
 
 
 def test_self_loop_violates_axiom_ii():
-    g = ColoredPairLabeledGraph.build(
-        2,
-        {1: PURPLE, -1: PURPLE, 2: PURPLE, -2: RED},
-        [(1, 1, PURPLE), (1, -1, BLACK), (2, -2, BLACK), (-2, 1, RED),
-         (-1, 2, PURPLE), (-1, 2, PURPLE)],
-    )
-    assert "II" in validate_ltt(g)
+    s = LttStructure(2, -2, turn(-2, 1), frozenset({turn(1, 1), turn(-1, 2)}))
+    assert "II" in validate(s)
 
 
 def test_wrong_color_rules_violate_axiom_iv():
-    g = ColoredPairLabeledGraph.build(
-        2,
-        {1: PURPLE, -1: PURPLE, 2: PURPLE, -2: RED},
-        [(1, -1, BLACK), (2, -2, BLACK), (1, 2, RED), (-2, -1, RED)],
+    # red edge with two purple endpoints, purple edge at the red vertex
+    s = LttStructure(2, -2, turn(1, 2), frozenset({turn(-2, -1)}))
+    assert validate(s) == ["IV"]
+    s = LttStructure(2, -2, turn(-2, 1), frozenset({turn(-2, -1), turn(-1, 2)}))
+    assert validate(s) == ["IV"]
+
+
+def test_red_edge_also_purple_violates_axiom_v():
+    s = built_structure()
+    bad = LttStructure(s.rank, s.red_vertex, s.red_edge, s.purple_edges | {s.red_edge})
+    assert "V" in validate(bad)
+
+
+def test_out_of_range_label_raises():
+    s = built_structure()
+    with pytest.raises(ValueError, match="out of range"):
+        validate(LttStructure(3, 4, turn(4, 1), s.purple_edges))
+    with pytest.raises(ValueError, match="out of range"):
+        validate(LttStructure(3, s.red_vertex, s.red_edge, s.purple_edges | {turn(0, 1)}))
+
+
+def test_structure_canonicalizes_turns():
+    s = built_structure()
+    flipped = LttStructure(
+        s.rank, s.red_vertex, s.red_edge[::-1], frozenset(t[::-1] for t in s.purple_edges)
     )
-    assert "IV" in validate_ltt(g)  # red edge with two purple endpoints
+    assert flipped == s
+    assert flipped.key() == s.key()
+
+
+def test_from_graph_rejects_missing_black_edge():
+    g = built_structure().as_graph()
+    bad = ColoredPairLabeledGraph.build(
+        g.rank, dict(g.vertex_colors), [e for e in g.edges if e != (-1, 1, BLACK)]
+    )
+    assert len(bad.edges) == len(g.edges) - 1
+    with pytest.raises(ValueError):
+        LttStructure.from_graph(bad)
+
+
+def test_from_graph_rejects_wrong_vertex_color():
+    g = built_structure().as_graph()
+    # a second red vertex
+    colors = dict(g.vertex_colors)
+    colors[1] = RED
+    with pytest.raises(ValueError, match="VI"):
+        LttStructure.from_graph(ColoredPairLabeledGraph.build(g.rank, colors, g.edges))
+    # the red vertex colored purple
+    colors = dict(g.vertex_colors)
+    colors[2] = PURPLE
+    with pytest.raises(ValueError, match="VI"):
+        LttStructure.from_graph(ColoredPairLabeledGraph.build(g.rank, colors, g.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -162,3 +228,83 @@ def test_relabel_involution_and_isomorphism():
     assert s.relabeled(swap).relabeled(swap) == s
     ok, _ = is_isomorphic(s.relabeled(swap).as_graph(), s.as_graph())
     assert ok
+
+
+# ---------------------------------------------------------------------------
+# the field checks against the graph-assembling oracles
+
+
+def assert_matches_oracles(s: LttStructure) -> None:
+    try:
+        expected = graph_validate_ltt(assembled_graph(s))
+    except ValueError:
+        with pytest.raises(ValueError):
+            validate(s)
+        return
+    assert validate(s) == expected
+    assert s.as_graph() == assembled_graph(s)
+    for ignore in (False, True):
+        assert is_birecurrent(s, ignore_isolated_pairs=ignore) == graph_is_birecurrent(s, ignore), ignore
+
+
+def _built_structures():
+    d = base_decomposition()
+    cert = base_cert()
+    return [build_ltt(d.rotated(k), cert) for k in range(len(d.steps))]
+
+
+BUILT = _built_structures()
+
+
+@st.composite
+def structures(draw):
+    """Ranks 2-4: hand-drawn fields (valid or not, loops, unsorted turns,
+    now and then a label out of range), or a built rank-3 structure, either
+    of them possibly extended by up to two pairs."""
+    if draw(st.booleans()):
+        s = draw(st.sampled_from(BUILT))
+        perm_pairs = draw(st.permutations([1, 2, 3]))
+        signs = draw(st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3))
+        perm = {}
+        for i, (j, e) in enumerate(zip(perm_pairs, signs), start=1):
+            perm[i], perm[-i] = e * j, -e * j
+        s = s.relabeled(perm)
+        if draw(st.booleans()):
+            drop = draw(st.sets(st.sampled_from(sorted(s.purple_edges)), max_size=2))
+            s = LttStructure(s.rank, s.red_vertex, s.red_edge, s.purple_edges - drop)
+    else:
+        rank = draw(st.integers(2, 4))
+        edge = st.tuples(st.integers(-rank, rank).filter(bool), st.integers(-rank, rank).filter(bool))
+        if draw(st.integers(0, 9)) == 0:
+            edge = st.tuples(st.integers(-rank - 1, rank + 1), st.integers(-rank - 1, rank + 1))
+        red = draw(st.sampled_from(directions(rank)))
+        red_edge = draw(st.one_of(
+            st.builds(lambda w: (w, red), st.sampled_from(directions(rank))), edge
+        ))
+        purple = draw(st.lists(edge, max_size=3 * rank))
+        s = LttStructure(rank, red, red_edge, frozenset(purple))
+    extra = draw(st.integers(0, 2))
+    return s.extended(s.rank + extra) if extra else s
+
+
+@settings(max_examples=600, deadline=None)
+@given(structures())
+def test_validate_and_birecurrence_match_graph_oracles(s):
+    assert_matches_oracles(s)
+
+
+def test_enumeration_candidates_match_graph_oracles():
+    # every candidate enumerate_admissible_structures tries on the rank-3 shape
+    shape = built_structure().purple_graph()
+    shape_vertices = shape.vertices()
+    checked = 0
+    for red in directions(3):
+        labels = [d for d in directions(3) if d != red]
+        for image in permutations(labels):
+            assign = dict(zip(shape_vertices, image))
+            purple = frozenset(turn(assign[u], assign[v]) for u, v, _ in shape.edges)
+            for w in labels:
+                if w != -red:
+                    assert_matches_oracles(LttStructure(3, red, turn(red, w), purple))
+                    checked += 1
+    assert checked == 6 * 120 * 4

@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import rosetrack
 from rosetrack.catalog import rank2_with_nielsen_path
 from rosetrack.errors import NotTrainTrack
 from rosetrack.nielsen import (
@@ -228,3 +234,25 @@ def test_found_is_always_verified_on_cyclic_corpus():
         if out.verdict == INCONCLUSIVE:
             assert any(rec.death_step is None for rec in out.trace)
     assert found > 0
+
+
+LARGE_PASS_BOUND = """
+import resource, sys
+resource.setrlimit(resource.RLIMIT_AS, (512 << 20, 512 << 20))
+from rosetrack.catalog import rank3_base
+from rosetrack.nielsen import search_inps, trace_to_text
+sys.stdout.write(trace_to_text(search_inps(rank3_base(), max_passes=10**7)))
+"""
+
+
+def test_search_cost_follows_the_steps_it_reaches():
+    # the verdict on lemma-3-6 is settled within a few steps, so a huge pass
+    # bound must neither build its per-step tables up front nor change the trace
+    src = str(Path(rosetrack.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", LARGE_PASS_BOUND],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == trace_to_text(search_inps(base_decomposition(), max_passes=3))

@@ -17,6 +17,7 @@ from rosetrack.synthesis import (
     realize_glued,
     theorem_a_pipeline,
 )
+from rosetrack.whitehead import ideal_whitehead_graph
 from rosetrack.words import turn
 
 from helpers import base_decomposition
@@ -186,6 +187,7 @@ def test_glued_graph_isomorphic_after_pair_relabeling():
 def test_pipeline_certificates(rank):
     res = theorem_a_pipeline(rank)
     assert res.ok
+    assert res.iw == ideal_whitehead_graph(res.decomposition, res.pnp_certificate)
     assert res.iw_vertices == 2 * rank - 1
     assert res.iw_connected
     assert res.index_list == (Fraction(3, 2) - rank,)
