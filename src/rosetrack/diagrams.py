@@ -65,42 +65,44 @@ def _determining_endpoints(target: LttStructure, determining_edge: Turn):
     return gen, other
 
 
-def _admissible_source(candidate: LttStructure) -> bool:
-    return not validate(candidate) and is_birecurrent(candidate)
+def _source(kind: str, target: LttStructure, determining_edge: Turn) -> LttStructure | None:
+    """The source a move of this kind prescribes, before any axiom or
+    birecurrence check; None when the move cannot apply."""
+    gen, other = _determining_endpoints(target, determining_edge)
+    if kind == EXTENSION:
+        if other in (gen.x, -gen.x):
+            return None  # the previous generator would not be a valid prepend
+        return LttStructure(target.rank, gen.x, turn(gen.x, other), target.purple_edges)
+    if other in (gen.y, -gen.y):
+        return None
+    rename = lambda d: gen.x if d == gen.y else d
+    return LttStructure(
+        target.rank,
+        gen.y,
+        turn(gen.y, other),
+        frozenset(turn(rename(a), rename(b)) for a, b in target.purple_edges),
+    )
+
+
+def _move(kind: str, target: LttStructure, determining_edge: Turn) -> GeneratingTriple | None:
+    source = _source(kind, target, determining_edge)
+    if source is None or validate(source) or not is_birecurrent(source):
+        return None
+    return GeneratingTriple(generator_of(target), source, target, kind, determining_edge)
 
 
 def extension(target: LttStructure, determining_edge: Turn) -> GeneratingTriple | None:
     """The move keeping the red vertex: the source has the same purple graph
     and its red edge joins the red vertex to the determining edge's far end.
     Returns None when the source is not an admissible structure."""
-    gen, d_l = _determining_endpoints(target, determining_edge)
-    if d_l in (gen.x, -gen.x):
-        return None  # the previous generator would not be a valid prepend
-    source = LttStructure(
-        target.rank, gen.x, turn(gen.x, d_l), target.purple_edges
-    )
-    if not _admissible_source(source):
-        return None
-    return GeneratingTriple(gen, source, target, EXTENSION, determining_edge)
+    return _move(EXTENSION, target, determining_edge)
 
 
 def switch(target: LttStructure, determining_edge: Turn) -> GeneratingTriple | None:
     """The move relabeling the red vertex: the source's red vertex is the
     doubled direction, and its purple graph is the target's with that label
     pulled back to the target's red vertex."""
-    gen, z = _determining_endpoints(target, determining_edge)
-    if z in (gen.y, -gen.y):
-        return None
-    rename = lambda d: gen.x if d == gen.y else d
-    source = LttStructure(
-        target.rank,
-        gen.y,
-        turn(gen.y, z),
-        frozenset(turn(rename(a), rename(b)) for a, b in target.purple_edges),
-    )
-    if not _admissible_source(source):
-        return None
-    return GeneratingTriple(gen, source, target, SWITCH, determining_edge)
+    return _move(SWITCH, target, determining_edge)
 
 
 def predecessors(target: LttStructure) -> tuple[GeneratingTriple, ...]:
@@ -116,17 +118,23 @@ def predecessors(target: LttStructure) -> tuple[GeneratingTriple, ...]:
     return tuple(out)
 
 
+def _rebuilds(t: GeneratingTriple) -> bool:
+    """The triple's generator and source are the ones its target and
+    determining edge prescribe, and the source satisfies the ltt axioms."""
+    try:
+        return (
+            t.generator == generator_of(t.target)
+            and _source(t.kind, t.target, t.determining_edge) == t.source
+            and not validate(t.source)
+        )
+    except ValueError:
+        return False
+
+
 def triple_is_coherent(t: GeneratingTriple) -> bool:
     """Re-derive the triple from its target and determining edge; guards
     against hand-built inconsistent triples."""
-    try:
-        if t.generator != generator_of(t.target):
-            return False
-        move = extension if t.kind == EXTENSION else switch
-        rebuilt = move(t.target, t.determining_edge)
-    except ValueError:
-        return False
-    return rebuilt is not None and rebuilt.source == t.source
+    return _rebuilds(t) and is_birecurrent(t.source)
 
 
 def admissible_composition_check(
@@ -134,23 +142,27 @@ def admissible_composition_check(
 ) -> bool:
     """Chained targets/sources match, every triple is an admissible move, and
     every structure is birecurrent (optionally ignoring rank-extension pairs).
+    Each distinct structure is tested for birecurrence once.
     """
     if not triples:
         return False
     for a, b in zip(triples, triples[1:]):
         if a.target != b.source:
             return False
+    birecurrent: set[LttStructure] = set()
     for t in triples:
-        if not relax_isolated_pairs and not triple_is_coherent(t):
-            return False
         if relax_isolated_pairs:
             if t.generator != generator_of(t.target):
                 return False
             if t.source.red_vertex not in (t.generator.x, t.generator.y):
                 return False
+        elif not _rebuilds(t):
+            return False
         for s in (t.source, t.target):
-            if not is_birecurrent(s, ignore_isolated_pairs=relax_isolated_pairs):
-                return False
+            if s not in birecurrent:
+                if not is_birecurrent(s, ignore_isolated_pairs=relax_isolated_pairs):
+                    return False
+                birecurrent.add(s)
     return True
 
 

@@ -4,9 +4,11 @@ An ltt structure packages a (2r-1)-vertex purple graph (the stable Whitehead
 graph), one red vertex with one red edge, and a black edge for each of the
 rose's r edge pairs.  Smooth paths alternate between black and colored edges;
 a structure is birecurrent (admissible) when a smooth line can traverse every
-edge infinitely often in both directions, which holds exactly when all
-traversal darts lie in a single strongly connected component of the smooth
-transition graph.
+edge infinitely often in both directions.  A smooth line crosses a colored
+edge [x, y] from x to y and then the black edge from y to bar(y), so it is a
+walk in the digraph H on the 2r directions with arcs x -> bar(y) and
+y -> bar(x) for each colored edge; birecurrence is decided on the strongly
+connected components of H.
 """
 
 from __future__ import annotations
@@ -165,60 +167,39 @@ def validate(s: LttStructure) -> list[str]:
     return violations
 
 
-def smooth_dart_graph(edges: list[tuple[Direction, Direction, str]]) -> tuple[list, dict]:
-    """Darts (u, v, color) for each traversal of each edge; a dart into v may
-    continue along any edge at v of the opposite class (black vs colored)."""
-    darts = []
-    for u, v, c in edges:
-        darts.append((u, v, c))
-        darts.append((v, u, c))
-    at: dict[Direction, list[tuple]] = {}
-    for d in darts:
-        at.setdefault(d[0], []).append(d)
-    succ = {
-        d: [
-            e
-            for e in at.get(d[1], ())
-            if (e[2] == BLACK) != (d[2] == BLACK)
-        ]
-        for d in darts
-    }
-    return darts, succ
-
-
 def is_birecurrent(s: LttStructure, ignore_isolated_pairs: bool = False) -> bool:
     """Whether a smooth line can traverse every edge infinitely often in both
     directions.
 
-    Operationally: some strongly connected component of the smooth transition
-    dart graph covers at least one dart of every edge.  (Reversing the line
-    gives the mirror component covering the reverse darts, so one-per-edge
-    coverage suffices; demanding all darts in a single component would reject
-    genuine structures, whose dart graphs split into mirror halves.)
+    Operationally: one strongly connected component C of the direction
+    digraph H holds both ends of one of the two arcs of every colored edge,
+    and a direction of every edge pair.  (Reversing the line gives the mirror
+    component, so one arc per edge suffices.)  Traversals of colored edges
+    are H's arcs and traversals of black edges its vertices; a smooth
+    transition runs from an arc to its head or from a vertex to an arc
+    leaving it, so the transition graph is H with every arc subdivided.
 
-    With ignore_isolated_pairs, black edges on pairs carrying no colored edge
-    (as produced by rank extension) are exempted.
+    With ignore_isolated_pairs, pairs carrying no colored edge (as produced
+    by rank extension) are exempted.  A colored edge with an end outside the
+    rank meets no black edge there, so it lies on no smooth cycle.
     """
-    edges = s._colored_edges()
-    touched = {abs(v) for u, w, _ in edges for v in (u, w)}
-    edges += [
-        (t[0], t[1], BLACK)
-        for t in s.black_edges()
-        if not ignore_isolated_pairs or abs(t[0]) in touched
-    ]
-    darts, succ = smooth_dart_graph(edges)
-    if not darts:
+    colored = (s.red_edge, *s.purple_edges)
+    if any(not 0 < abs(v) <= s.rank for t in colored for v in t):
         return False
-    all_edges = {_canon(d) for d in darts}
-    for scc in strongly_connected_components(darts, lambda d: succ[d]):
-        if len(scc) >= 2 and {_canon(d) for d in scc} == all_edges:
+    succ: dict[Direction, list[Direction]] = {v: [] for v in directions(s.rank)}
+    for x, y in colored:
+        succ[x].append(-y)
+        succ[y].append(-x)
+    if ignore_isolated_pairs:
+        pairs = {abs(v) for t in colored for v in t}
+    else:
+        pairs = range(1, s.rank + 1)
+    for comp in strongly_connected_components(succ, succ.__getitem__):
+        if all(i in comp or -i in comp for i in pairs) and all(
+            (x in comp and -y in comp) or (y in comp and -x in comp) for x, y in colored
+        ):
             return True
     return False
-
-
-def _canon(dart) -> tuple:
-    u, v, c = dart
-    return (u, v, c) if u <= v else (v, u, c)
 
 
 def build_ltt(d: Decomposition, pnp_certificate) -> LttStructure:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .catalog import rank3_base
-from .errors import Inconclusive, SpecError
+from .errors import Inconclusive, NotTrainTrack, SpecError
 from .graphs import ColoredPairLabeledGraph, PURPLE, cut_vertices, is_connected
 from .ltt import LttStructure, build_ltt
 from .nielsen import (
@@ -28,12 +28,7 @@ from .nielsen import (
     is_legalizing_prevention_sequence,
     search_inps,
 )
-from .whitehead import (
-    ideal_whitehead_graph,
-    index_list,
-    is_train_track,
-    turn_closure,
-)
+from .whitehead import index_list, is_train_track, turn_closure
 from .words import (
     MAX_PREP_POWER,
     Decomposition,
@@ -280,14 +275,17 @@ def realize_glued(
     iw_matches = False
     structure = None
     if pnp_cert is not None and not failures:
-        iw = ideal_whitehead_graph(combined, pnp_cert)
-        iw_matches = set(iw.vertices()) == set(glued.vertices()) and {
-            turn(u, v) for u, v, _ in iw.edges
-        } == {turn(u, v) for u, v, _ in glued.edges}
-        if not iw_matches:
-            failures.append("ideal Whitehead graph differs from the glued graph")
-        else:
+        try:
             structure = build_ltt(combined, pnp_cert)
+        except NotTrainTrack as exc:
+            failures.append(f"no ltt structure: {exc}")
+        else:
+            iw_matches = set(structure.purple_vertices()) == set(glued.vertices()) and (
+                structure.purple_edges == {turn(u, v) for u, v, _ in glued.edges}
+            )
+            if not iw_matches:
+                structure = None
+                failures.append("ideal Whitehead graph differs from the glued graph")
 
     glued_labels = tuple(
         sorted(

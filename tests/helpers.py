@@ -12,7 +12,6 @@ from rosetrack.graphs import (
     connected_components,
     strongly_connected_components,
 )
-from rosetrack.ltt import smooth_dart_graph
 from rosetrack.words import (
     Decomposition,
     NielsenGenerator,
@@ -168,6 +167,23 @@ def graph_validate_ltt(g: ColoredPairLabeledGraph) -> list[str]:
         violations.append("VI")
 
     return violations
+
+
+def smooth_dart_graph(edges) -> tuple[list, dict]:
+    """Darts (u, v, color) for each traversal of each edge; a dart into v may
+    continue along any edge at v of the opposite class (black vs colored)."""
+    darts = []
+    for u, v, c in edges:
+        darts.append((u, v, c))
+        darts.append((v, u, c))
+    at: dict = {}
+    for d in darts:
+        at.setdefault(d[0], []).append(d)
+    succ = {
+        d: [e for e in at.get(d[1], ()) if (e[2] == BLACK) != (d[2] == BLACK)]
+        for d in darts
+    }
+    return darts, succ
 
 
 def graph_is_birecurrent(s, ignore_isolated_pairs: bool = False) -> bool:

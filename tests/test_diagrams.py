@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from rosetrack import diagrams
 from rosetrack.diagrams import (
     EXTENSION,
     SWITCH,
@@ -137,6 +138,18 @@ def test_incoherent_triple_rejected():
     assert wrong != t.source
     loop[0] = GeneratingTriple(t.generator, wrong, t.target, t.kind, t.determining_edge)
     assert not admissible_composition_check(loop)
+
+
+def test_composition_check_tests_each_structure_once(monkeypatch):
+    tested = []
+    is_birecurrent = diagrams.is_birecurrent
+    monkeypatch.setattr(
+        diagrams, "is_birecurrent", lambda s, **kw: tested.append(s) or is_birecurrent(s, **kw)
+    )
+    for loop, relax in ((realizing_loop(), False), (extend_composition(realizing_loop(), 4), True)):
+        tested.clear()
+        assert admissible_composition_check(loop, relax_isolated_pairs=relax)
+        assert len(tested) == len(set(tested)) == len({t.target for t in loop} | {loop[0].source})
 
 
 def test_extend_composition_preserves_admissibility():

@@ -1,13 +1,15 @@
+import random
 from itertools import permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rosetrack import diagrams
 from rosetrack.errors import MissingCertificate, NotTrainTrack
 from rosetrack.graphs import BLACK, PURPLE, RED, ColoredPairLabeledGraph, is_isomorphic
 from rosetrack.ltt import LttStructure, build_ltt, is_birecurrent, validate
-from rosetrack.nielsen import PnpCertificate, certify_pnp_free
+from rosetrack.nielsen import PnpCertificate, certify_pnp_free, search_inps
 from rosetrack.whitehead import stable_whitehead_graph
 from rosetrack.words import Decomposition, NielsenGenerator, directions, turn
 
@@ -16,6 +18,7 @@ from helpers import (
     base_decomposition,
     graph_is_birecurrent,
     graph_validate_ltt,
+    random_cyclically_admissible,
 )
 
 
@@ -204,6 +207,20 @@ def test_disconnected_colored_part_is_not_birecurrent():
     assert not is_birecurrent(s)
 
 
+def test_colored_edge_ending_outside_the_rank_is_not_birecurrent():
+    # [c-, d-] and [d, b] put both directions of the out-of-range pair d on
+    # colored edges; no black edge joins them, so no smooth line crosses
+    # either edge, though every in-range arc lies in one component
+    s = LttStructure(
+        3,
+        red_vertex=3,
+        red_edge=turn(3, -1),
+        purple_edges=frozenset({turn(1, -2), turn(-3, -4), turn(4, 2)}),
+    )
+    for ignore in (False, True):
+        assert not is_birecurrent(s, ignore_isolated_pairs=ignore)
+
+
 def test_birecurrence_invariant_under_relabeling():
     s = built_structure()
     perm = {1: 2, -1: -2, 2: 3, -2: -3, 3: 1, -3: -1}
@@ -308,3 +325,38 @@ def test_enumeration_candidates_match_graph_oracles():
                     assert_matches_oracles(LttStructure(3, red, turn(red, w), purple))
                     checked += 1
     assert checked == 6 * 120 * 4
+
+
+def certified_structures(rank: int, count: int, seed: int) -> list[LttStructure]:
+    """Ltt structures of the first `count` certified random cyclically
+    admissible sequences of the rank."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        d = random_cyclically_admissible(rng, rank, rng.randrange(6, 25))
+        cert = search_inps(d).certificate()
+        if cert is not None:
+            out.append(build_ltt(d, cert))
+    return out
+
+
+def test_diagram_move_sources_match_graph_oracles(monkeypatch):
+    # every candidate source extension and switch build while predecessors
+    # closes the rank-3 seed and a few certified rank-4 structures
+    built = []
+    source = diagrams._source
+
+    def recording(*args):
+        s = source(*args)
+        if s is not None:
+            built.append(s)
+        return s
+
+    monkeypatch.setattr(diagrams, "_source", recording)
+    diagrams.build_id_diagram(built_structure())
+    for s in certified_structures(4, 3, seed=4):
+        diagrams.build_id_diagram(s, node_budget=40)
+    verdicts = {is_birecurrent(s) for s in built}
+    assert len(built) > 500 and verdicts == {False, True}
+    for s in built:
+        assert_matches_oracles(s)

@@ -3,7 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from rosetrack.errors import Inconclusive, SpecError
+from rosetrack import ltt, synthesis
+from rosetrack.errors import Inconclusive, NotTrainTrack, SpecError
 from rosetrack.graphs import cut_vertices, is_connected, is_isomorphic
 from rosetrack.ltt import build_ltt
 from rosetrack.nielsen import certify_pnp_free
@@ -154,6 +155,28 @@ def test_realize_rank4():
     # the realized structure is normalized, ready for the next glue
     assert cert.structure.red_vertex == 1
     assert cert.structure.red_edge == turn(1, 2)
+
+
+def test_glue_computes_the_ideal_whitehead_graph_once(monkeypatch):
+    spec = two_sides()
+    calls = []
+    iwg = ltt.ideal_whitehead_graph
+    monkeypatch.setattr(ltt, "ideal_whitehead_graph", lambda *a: calls.append(a) or iwg(*a))
+    _, cert = realize_glued(spec)
+    assert cert.ok and len(calls) == 1
+
+
+def test_glue_records_an_ltt_structure_it_cannot_build(monkeypatch):
+    def refuse(d, certificate):
+        raise NotTrainTrack("final generator does not move the nonperiodic direction")
+
+    spec = two_sides()
+    monkeypatch.setattr(synthesis, "build_ltt", refuse)
+    _, cert = realize_glued(spec)
+    assert not cert.ok and cert.structure is None and not cert.iw_matches_glued_graph
+    assert cert.failures == (
+        "no ltt structure: final generator does not move the nonperiodic direction",
+    )
 
 
 def test_realized_iw_is_the_glued_graph():
