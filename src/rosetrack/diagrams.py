@@ -119,8 +119,9 @@ def predecessors(target: LttStructure) -> tuple[GeneratingTriple, ...]:
 
 
 def _rebuilds(t: GeneratingTriple) -> bool:
-    """The triple's generator and source are the ones its target and
-    determining edge prescribe, and the source satisfies the ltt axioms."""
+    """Re-derive the triple from its target and determining edge: its
+    generator and source are the prescribed ones, and the source satisfies
+    the ltt axioms. Guards against hand-built inconsistent triples."""
     try:
         return (
             t.generator == generator_of(t.target)
@@ -129,12 +130,6 @@ def _rebuilds(t: GeneratingTriple) -> bool:
         )
     except ValueError:
         return False
-
-
-def triple_is_coherent(t: GeneratingTriple) -> bool:
-    """Re-derive the triple from its target and determining edge; guards
-    against hand-built inconsistent triples."""
-    return _rebuilds(t) and is_birecurrent(t.source)
 
 
 def admissible_composition_check(
@@ -149,7 +144,6 @@ def admissible_composition_check(
     for a, b in zip(triples, triples[1:]):
         if a.target != b.source:
             return False
-    birecurrent: set[LttStructure] = set()
     for t in triples:
         if relax_isolated_pairs:
             if t.generator != generator_of(t.target):
@@ -158,12 +152,10 @@ def admissible_composition_check(
                 return False
         elif not _rebuilds(t):
             return False
-        for s in (t.source, t.target):
-            if s not in birecurrent:
-                if not is_birecurrent(s, ignore_isolated_pairs=relax_isolated_pairs):
-                    return False
-                birecurrent.add(s)
-    return True
+    structures = dict.fromkeys((triples[0].source, *(t.target for t in triples)))
+    return all(
+        is_birecurrent(s, ignore_isolated_pairs=relax_isolated_pairs) for s in structures
+    )
 
 
 def extend_composition(

@@ -201,7 +201,27 @@ def graph_is_birecurrent(s, ignore_isolated_pairs: bool = False) -> bool:
             g.rank, dict(g.vertex_colors), [e for e in g.edges if e not in dropped]
         )
         g = g.induced([v for v in g.vertices() if g.degree(v) > 0])
-    darts, succ = smooth_dart_graph(list(g.edges))
+    return _some_dart_component_covers(list(g.edges))
+
+
+def edge_list_is_birecurrent(s, ignore_isolated_pairs: bool = False) -> bool:
+    """Birecurrence on the raw edge list, with no graph assembly, so it also
+    answers for labels outside the rank: the colored edges plus the black
+    edges (of touched pairs only, with ignore_isolated_pairs)."""
+    edges = s._colored_edges()
+    touched = {abs(v) for u, w, _ in edges for v in (u, w)}
+    edges += [
+        (t[0], t[1], BLACK)
+        for t in s.black_edges()
+        if not ignore_isolated_pairs or abs(t[0]) in touched
+    ]
+    return _some_dart_component_covers(edges)
+
+
+def _some_dart_component_covers(edges) -> bool:
+    """Some strongly connected component of the dart graph holds a dart of
+    every edge."""
+    darts, succ = smooth_dart_graph(edges)
     if not darts:
         return False
 

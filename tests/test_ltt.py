@@ -16,6 +16,7 @@ from rosetrack.words import Decomposition, NielsenGenerator, directions, turn
 from helpers import (
     assembled_graph,
     base_decomposition,
+    edge_list_is_birecurrent,
     graph_is_birecurrent,
     graph_validate_ltt,
     random_cyclically_admissible,
@@ -257,6 +258,10 @@ def assert_matches_oracles(s: LttStructure) -> None:
     except ValueError:
         with pytest.raises(ValueError):
             validate(s)
+        for ignore in (False, True):
+            assert is_birecurrent(s, ignore_isolated_pairs=ignore) == edge_list_is_birecurrent(
+                s, ignore
+            ), ignore
         return
     assert validate(s) == expected
     assert s.as_graph() == assembled_graph(s)
